@@ -28,7 +28,8 @@ from repro.core.cloud import CloudServer
 from repro.core.owner import DataOwner
 from repro.core.params import KeyBundle, SlicerParams
 from repro.core.records import Database
-from repro.core.user import DataUser, RangeQuery
+from repro.core.query import Range
+from repro.core.user import DataUser
 from repro.core.verify import verify_response
 
 BITS = 8
@@ -92,7 +93,8 @@ def test_ablation_slicer(benchmark):
         sides = []
         total_tokens = 0
         vo_bytes = 0
-        for _, tokens in user.range_tokens(RangeQuery(LO, HI)):
+        for query in Range(LO, HI).to_queries(BITS):
+            tokens = user.make_tokens(query)
             total_tokens += len(tokens)
             response = cloud.search(tokens)
             vo_bytes += response.witness_bytes

@@ -8,15 +8,12 @@ signals:
 * **Kernel counters (the gate).**  The counters run_smoke.py records are
   machine-independent — for a fixed seed the hit/miss/candidate counts are
   deterministic — so "a cache that stopped hitting" or "an accidentally
-  repeated walk" shows up exactly, with no CI hardware noise.  Worker
-  counter deltas merge back into the parent process and execution-shape
-  ``parallel.*`` counters are excluded from the report, so the snapshot is
-  comparable across *any* worker config: a baseline recorded at workers=0
-  gates a fresh run at workers=2 and vice versa.  A cache regresses when
+  repeated walk" shows up exactly, with no CI hardware noise.  A cache
+  regresses when
   its miss count inflates beyond ``--miss-ratio`` (above an absolute
   floor) or its hit rate collapses; ``--exact-counters`` tightens the gate
   to bit-for-bit equality of every counter and value-histogram (the CI
-  cross-worker determinism check).
+  determinism check).
 * **Wall-clock ratios (a warning).**  The committed baseline was timed on a
   different machine, and GitHub runner hardware varies enough that >2x on
   sub-second metrics can trip spuriously — so slowdowns beyond ``--ratio``
@@ -602,12 +599,9 @@ def main(argv: list[str] | None = None) -> int:
     timing_rows = compare_timings(
         baseline.get("metrics", {}), fresh.get("metrics", {}), args.ratio, ABS_FLOOR_S
     )
-    # Worker counter deltas merge into the parent and `parallel.*` shape
-    # counters are excluded at the source, so counters compare across any
-    # worker config — no "matching workers" caveat anymore.
     counters_comparable = bool(baseline.get("counters")) and bool(fresh.get("counters"))
     if counters_comparable:
-        counter_note = "comparable: merged worker deltas, any worker config"
+        counter_note = "comparable: deterministic counters"
     else:
         counter_note = "informational: baseline predates counter reporting"
     counter_rows = compare_counters(

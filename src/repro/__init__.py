@@ -31,7 +31,6 @@ from .core import (
     Misbehavior,
     Query,
     Range,
-    RangeQuery,
     SlicerParams,
     make_database,
 )
@@ -40,7 +39,7 @@ from .dual_system import DualSearchOutcome, DualSlicerSystem
 from .planner import QueryPlan, compile_plan, compile_plans
 from .sharding import HashShardPlan, ShardPlan, ShardedCloudFrontend
 from .sore import OrderCondition, SoreScheme
-from .system import PlanOutcome, RangeOutcome, SearchOutcome, SlicerSystem
+from .system import PlanOutcome, SearchOutcome, SlicerSystem
 
 __version__ = "1.0.0"
 
@@ -67,8 +66,6 @@ __all__ = [
     "Query",
     "QueryPlan",
     "Range",
-    "RangeOutcome",
-    "RangeQuery",
     "SearchOutcome",
     "SlicerParams",
     "SlicerSystem",

@@ -19,22 +19,18 @@ methods share :meth:`DataOwner._index_batch`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..common.encoding import encode_parts
+from ..common.bitstring import xor_bytes
+from ..common.encoding import encode_parts, encode_uint
 from ..common.errors import StateError
 from ..common.rng import DeterministicRNG, default_rng
 from ..common.timing import Stopwatch
 from ..crypto.accumulator import Accumulator
 from ..crypto.multiset_hash import MultisetHash
+from ..crypto.prf import PRF
 from ..obs import metrics, trace
 from ..crypto.symmetric import NONCE_LEN, SymmetricCipher
-from ..parallel import ParallelExecutor
-from ..parallel.tasks import (
-    IndexShared,
-    KeywordJob,
-    hash_to_prime_chunk,
-    index_keyword_chunk,
-)
 from .keywords import keywords_for_record
 from .params import KeyBundle, SlicerParams, UserKeys
 from .records import AttributedDatabase, AttributedRecord, Database, Record
@@ -46,6 +42,23 @@ from .state import (
     set_hash_key,
 )
 from .tokens import derive_g1_g2
+
+
+class KeywordJob(NamedTuple):
+    """One keyword's share of Build/Insert after the staging pass.
+
+    The staging pass performs every state transition that must stay
+    sequential for :class:`~repro.common.rng.DeterministicRNG`
+    reproducibility — trapdoor sampling/advance and nonce draws — and
+    freezes the results here.  What remains is pure PRF/encrypt/fold work.
+    """
+
+    trapdoor: bytes
+    epoch: int
+    g1: bytes
+    g2: bytes
+    running_value: int  # multiset-hash value carried over from prior epochs
+    postings: tuple[tuple[bytes, bytes], ...]  # (record_id, nonce) per counter
 
 
 @dataclass
@@ -104,8 +117,6 @@ class DataOwner:
         self.set_hash_state = SetHashState()
         self.accumulator = Accumulator(params.accumulator)
         self._cipher = SymmetricCipher(self.keys.record_key, self.rng)
-        self._hash_to_prime = params.hash_to_prime()
-        self._executor = ParallelExecutor(params.workers)
         self._built = False
         #: Attribute names seen across every indexed record (shared with
         #: users so they can validate queries before paying to search).
@@ -163,12 +174,12 @@ class DataOwner:
         return postings
 
     def _stage_keywords(self, records: list[Record | AttributedRecord]) -> list[KeywordJob]:
-        """The *serial* half of Build/Insert: every state transition that
+        """The stateful half of Build/Insert: every state transition that
         consumes the owner's RNG or mutates ``T``/``S``.
 
         Trapdoor sampling, the π_sk^{-1} advance and the per-record nonce
-        draws happen here, in postings order, so the RNG stream is identical
-        whether the heavy half below runs on one worker or many.
+        draws happen here, in postings order; this draw order fixes every
+        byte of the index.
         """
         field = self.params.multiset_field
         jobs: list[KeywordJob] = []
@@ -194,13 +205,32 @@ class DataOwner:
             jobs.append(KeywordJob(trapdoor, epoch, g1, g2, running.value, postings))
         return jobs
 
+    def _index_keyword(self, job: KeywordJob) -> tuple[list[tuple[bytes, bytes]], int]:
+        """Algorithm 1/2 lines 10-16 for one staged keyword.
+
+        Encrypts each posting's record ID (with its pre-drawn nonce),
+        derives the PRF label and pad, and folds the ciphertext into the
+        running multiset hash.  Returns ``(entries, folded_hash_value)``,
+        entries in counter order.
+        """
+        label_prf = PRF(job.g1, self.params.label_len)
+        pad_prf = PRF(job.g2)
+        running = MultisetHash(job.running_value, self.params.multiset_field)
+        entries: list[tuple[bytes, bytes]] = []
+        for counter, (record_id, nonce) in enumerate(job.postings):
+            record_ct = self._cipher.encrypt(record_id, nonce)
+            label = label_prf.eval(job.trapdoor, encode_uint(counter))
+            pad = pad_prf.eval_stream(len(record_ct), job.trapdoor, encode_uint(counter))
+            entries.append((label, xor_bytes(pad, record_ct)))
+            running = running.add(record_ct)
+        return entries, running.value
+
     def _index_batch(self, records: list[Record | AttributedRecord]) -> OwnerOutput:
         """The shared core of Build and Insert: one epoch per touched keyword.
 
-        Phase 1 ("index"): serial staging (see :meth:`_stage_keywords`), then
-        the pure PRF/encrypt/multiset-fold work fanned out per keyword chunk.
-        Phase 2 ("ads"): ``H_prime`` derivation fanned out, then the single
-        accumulator fold.  Output is byte-identical for any worker count.
+        Phase 1 ("index"): staging (see :meth:`_stage_keywords`), then the
+        PRF/encrypt/multiset-fold work per keyword.  Phase 2 ("ads"):
+        ``H_prime`` derivation per keyword, then the single accumulator fold.
         """
         new_index = EncryptedIndex()
         field = self.params.multiset_field
@@ -209,22 +239,19 @@ class DataOwner:
             jobs = self._stage_keywords(records)
             metrics.observe("owner.batch.records", len(records))
             metrics.observe("owner.batch.keywords", len(jobs))
-            shared = IndexShared(self.keys.record_key, self.params.label_len, field)
-            folded = self._executor.map_chunks(index_keyword_chunk, jobs, shared=shared)
+            folded = [self._index_keyword(job) for job in jobs]
             for entries, _ in folded:
                 for label, payload in entries:
                     new_index.put(label, payload)
 
         with self.stopwatch.measure("ads"), trace.span("owner.ads"):
-            payloads: list[bytes] = []
+            h_prime = self.params.hash_to_prime()
+            new_primes: list[int] = []
             for job, (_, running_value) in zip(jobs, folded):
                 state_key = set_hash_key(job.trapdoor, job.epoch, job.g1, job.g2)
                 running = MultisetHash(running_value, field)
                 self.set_hash_state.put(state_key, running)
-                payloads.append(encode_parts(state_key, running.to_bytes()))
-            new_primes = self._executor.map_chunks(
-                hash_to_prime_chunk, payloads, shared=(self.params.prime_bits,)
-            )
+                new_primes.append(h_prime(encode_parts(state_key, running.to_bytes())))
             self.accumulator.add_many(new_primes)
         package = CloudPackage(new_index, new_primes, self.accumulator.value)
         return self._finish(package, jobs, folded)

@@ -37,8 +37,8 @@ class EncryptedIndex:
     def entries(self) -> dict[bytes, bytes]:
         """Read-only view of the label->payload map.
 
-        Exposed so the parallel search engine can hand the dictionary to
-        forked workers without a copy; callers must not mutate it.
+        Exposed so checkpoints and snapshots can read the dictionary
+        without a copy; callers must not mutate it.
         """
         return self._entries
 

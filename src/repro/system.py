@@ -82,7 +82,7 @@ from .core.params import SlicerParams
 from .core.query import Query
 from .core.records import AttributedDatabase, Database
 from .core.state import CloudPackage
-from .core.user import DataUser, RangeQuery
+from .core.user import DataUser
 from .core.tokens import SearchToken
 from .planner import PlanExpr, QueryPlan, compile_plans
 from .sharding import (
@@ -179,24 +179,25 @@ class SearchOutcome:
         return self.settle_receipt.gas_used
 
 
-@dataclass
-class RangeOutcome:
-    """A two-sided range search: one verified outcome per side."""
+#: Who an audit verdict routes the escrowed payment to.
+_PAID_TO = {VERDICT_PAID: "cloud", VERDICT_REFUNDED: "user", VERDICT_DEGRADED: None}
 
-    sides: list[SearchOutcome] = field(default_factory=list)
 
-    @property
-    def verified(self) -> bool:
-        return all(s.verified for s in self.sides)
+def _audit_verdict(outcome: SearchOutcome) -> tuple[str, str | None]:
+    """The audit verdict for one escrow, and the reason when it is degraded.
 
-    @property
-    def record_ids(self) -> set[bytes]:
-        if not self.sides:
-            return set()
-        out = set(self.sides[0].record_ids)
-        for side in self.sides[1:]:
-            out &= side.record_ids
-        return out
+    ``paid`` iff the contract verified, ``refunded`` iff the escrow settled
+    unverified, ``degraded`` iff delivery gave up or the settlement call
+    reverted — a reverted call moved no money and left the escrow open, so
+    it must never be logged as a refund.
+    """
+    if outcome.error is not None:
+        return VERDICT_DEGRADED, outcome.error
+    if not outcome.settled:
+        receipt = outcome.settle_receipt
+        reason = receipt.revert_reason if receipt is not None else None
+        return VERDICT_DEGRADED, f"settle reverted: {reason}"
+    return (VERDICT_PAID if outcome.verified else VERDICT_REFUNDED), None
 
 
 @dataclass
@@ -660,17 +661,11 @@ class SlicerSystem:
         """Fold one search into the audit log and the metrics registry.
 
         Called inside the search's root span, so the audit record carries
-        the trace id of the span tree it corresponds to.  The verdict must
-        mirror the outcome exactly: ``paid`` iff the contract verified,
-        ``refunded`` iff it settled unverified, ``degraded`` iff delivery
-        gave up — the chaos property tests assert this correspondence.
+        the trace id of the span tree it corresponds to.  The verdict
+        mirrors the outcome exactly (see :func:`_audit_verdict`) — the
+        chaos property tests assert this correspondence.
         """
-        if outcome.error is not None:
-            verdict = VERDICT_DEGRADED
-        elif outcome.verified:
-            verdict = VERDICT_PAID
-        else:
-            verdict = VERDICT_REFUNDED
+        verdict, detail = _audit_verdict(outcome)
         submit_gas = outcome.submit_receipt.gas_used if outcome.submit_receipt else 0
         settle_gas = outcome.settle_receipt.gas_used if outcome.settle_receipt else 0
         metrics.observe("search.tokens_posted", len(outcome.tokens))
@@ -697,23 +692,16 @@ class SlicerSystem:
             tokens_posted=len(outcome.tokens),
             result_count=len(outcome.record_ids),
             accumulator=self.cloud.ads_value if outcome.response is not None else None,
-            paid_to="cloud" if verdict == VERDICT_PAID else (
-                "user" if verdict == VERDICT_REFUNDED else None
-            ),
+            paid_to=_PAID_TO[verdict],
             amount=payment if verdict != VERDICT_DEGRADED else 0,
             gas=submit_gas + settle_gas,
             attempts=outcome.attempts,
             trace_id=trace.current_trace_id(),
-            detail=outcome.error,
+            detail=detail,
             fault_step=failure.fault_step if failure else None,
             **shard_extra,
             **block_extra,
         )
-
-    def range_search(self, range_query: RangeQuery, payment: int = DEFAULT_PAYMENT) -> RangeOutcome:
-        """Two-sided range = one verified search per side, intersected."""
-        queries = range_query.to_queries(self.params.value_bits)
-        return RangeOutcome([self.search(q, payment) for q in queries])
 
     def batch_search(
         self, queries: list[Query], payment: int = DEFAULT_PAYMENT
@@ -728,6 +716,12 @@ class SlicerSystem:
         per-query responses stay byte-identical to sequential
         :meth:`CloudServer.search` calls (the entry-cache property tests
         assert this), only the duplicated walks disappear.
+
+        The batch transaction is all-or-nothing: one bad response or an
+        out-of-gas reverts it and moves no money.  Each escrow is then
+        settled by its own ``verify_and_settle``, so honest siblings are
+        still paid; an escrow whose own settlement reverts too stays open
+        and is reported as not settled (audit verdict ``degraded``).
 
         Under block settlement the amortisation moves from the transaction
         to the *block*: see :meth:`_batch_search_block`.
@@ -770,11 +764,32 @@ class SlicerSystem:
                         [response_to_chain_args(r) for _, _, _, r in staged],
                     ),
                 )
+                if settle.status:
+                    receipts, verdicts = [settle] * len(staged), settle.return_value
+                else:
+                    # The batch reverted as a whole and moved no money:
+                    # settle each escrow on its own so honest siblings are
+                    # still paid and only a bad escrow is left open.
+                    receipts = [
+                        self.chain.call(
+                            self.cloud_address,
+                            contract,
+                            "verify_and_settle",
+                            (
+                                submit.return_value,
+                                self.cloud.ads_value,
+                                response_to_chain_args(response),
+                            ),
+                        )
+                        for _, submit, _, response in staged
+                    ]
+                    verdicts = [bool(r.status and r.return_value) for r in receipts]
             metrics.observe("gas.batch_verify_and_settle", settle.gas_used)
-            verdicts = settle.return_value if settle.status else [False] * len(staged)
             outcomes = []
             trace_id = trace.current_trace_id()
-            for (query, submit, tokens, response), verified in zip(staged, verdicts):
+            for (query, submit, tokens, response), verified, receipt in zip(
+                staged, verdicts, receipts
+            ):
                 outcome = SearchOutcome(
                     query=query,
                     query_id=submit.return_value,
@@ -783,24 +798,27 @@ class SlicerSystem:
                     verified=bool(verified),
                     record_ids=self.user.decrypt_results(response) if verified else set(),
                     submit_receipt=submit,
-                    settle_receipt=settle,
+                    settle_receipt=receipt,
                 )
                 outcomes.append(outcome)
-                verdict = VERDICT_PAID if outcome.verified else VERDICT_REFUNDED
-                # Per-record gas is this query's submit tx; the shared batch
+                verdict, detail = _audit_verdict(outcome)
+                # Per-record gas is this query's submit tx (plus its own
+                # settlement after a batch revert); the shared batch
                 # settlement tx is attributed once via `extra`, not inflated
                 # onto every record.
+                own_settle_gas = 0 if receipt is settle else receipt.gas_used
                 obs_audit.AUDIT_LOG.append(
                     query_id=str(outcome.query_id),
                     verdict=verdict,
                     tokens_posted=len(tokens),
                     result_count=len(outcome.record_ids),
                     accumulator=self.cloud.ads_value,
-                    paid_to="cloud" if outcome.verified else "user",
-                    amount=payment,
-                    gas=submit.gas_used,
+                    paid_to=_PAID_TO[verdict],
+                    amount=payment if verdict != VERDICT_DEGRADED else 0,
+                    gas=submit.gas_used + own_settle_gas,
                     attempts=1,
                     trace_id=trace_id,
+                    detail=detail,
                     batch_size=len(staged),
                     batch_settle_gas=settle.gas_used,
                     **(
@@ -1061,18 +1079,19 @@ class SlicerSystem:
                     settle_height=height,
                 )
                 outcomes.append(outcome)
-                verdict = VERDICT_PAID if verified else VERDICT_REFUNDED
+                verdict, detail = _audit_verdict(outcome)
                 obs_audit.AUDIT_LOG.append(
                     query_id=str(outcome.query_id),
                     verdict=verdict,
                     tokens_posted=len(tokens),
                     result_count=len(outcome.record_ids),
                     accumulator=self.cloud.ads_value,
-                    paid_to="cloud" if verified else "user",
-                    amount=payment,
+                    paid_to=_PAID_TO[verdict],
+                    amount=payment if verdict != VERDICT_DEGRADED else 0,
                     gas=submit.gas_used + settle.gas_used,
                     attempts=1,
                     trace_id=trace_id,
+                    detail=detail,
                     batch_size=len(submitted),
                     block=height,
                     **(

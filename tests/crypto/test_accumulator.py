@@ -8,6 +8,7 @@ from repro.crypto.accumulator import (
     Accumulator,
     AccumulatorParams,
     MembershipWitness,
+    root_factor,
     verify_membership,
     verify_membership_batch,
     verify_nonmembership,
@@ -209,3 +210,21 @@ class TestVerifyMembershipBatch:
 
     def test_empty_batch(self, params):
         assert verify_membership_batch(params, 1, []) == []
+
+
+class TestRootFactor:
+    """The batched witness recursion every witness path runs through."""
+
+    MOD = 0x8F2D5D0E3A7C1F4B66ADF6E52C07E109  # any odd modulus works here
+
+    def test_matches_naive(self):
+        primes = [3, 5, 7, 11, 13]
+        base = 4
+        naive = {p: pow(base, 3 * 5 * 7 * 11 * 13 // p, self.MOD) for p in primes}
+        assert root_factor(base, primes, self.MOD) == naive
+
+    def test_empty(self):
+        assert root_factor(5, [], self.MOD) == {}
+
+    def test_singleton(self):
+        assert root_factor(5, [13], self.MOD) == {13: 5}

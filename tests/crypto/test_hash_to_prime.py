@@ -6,8 +6,6 @@ from repro.common.errors import ParameterError
 from repro.crypto.hash_to_prime import HashToPrime
 from repro.crypto.kernels import MemoizedHashToPrime
 from repro.crypto.primes import is_prime
-from repro.parallel.executor import ParallelExecutor
-from repro.parallel.tasks import hash_to_prime_chunk
 
 
 @pytest.fixture(scope="module")
@@ -103,20 +101,6 @@ class TestMemoizedParity:
                 ) == h64.hash_to_prime_with_counter(data)
                 return
         pytest.fail("no input with a multi-candidate walk in 200 tries")
-
-
-class TestCrossProcessDeterminism:
-    def test_forked_workers_agree_with_parent(self):
-        """The memoized walk is pure: forked worker processes (which inherit
-        a warm memo and then diverge) return the same primes the parent
-        derives serially."""
-        executor = ParallelExecutor(workers=2, min_items=1)
-        if not executor.parallel_available:
-            pytest.skip("fork start method unavailable")
-        payloads = [b"proc" + i.to_bytes(4, "big") for i in range(8)]
-        serial = hash_to_prime_chunk((64,), payloads)
-        parallel = executor.map_chunks(hash_to_prime_chunk, payloads, shared=(64,))
-        assert parallel == serial
 
 
 class TestCounterAccounting:

@@ -289,6 +289,28 @@ class TestLifecycle:
         assert sizes["trapdoor_chain"] == 0
         assert all(count == 0 for count in sizes.values())
 
+    def test_clear_caches_empties_cloud_entry_cache(
+        self, tparams, owner_factory, monkeypatch
+    ):
+        """A live cloud's entry cache is counted and emptied by the registry."""
+        from repro.core.cloud import CloudServer
+        from repro.core.query import Query
+        from repro.core.records import make_database
+        from repro.core.user import DataUser
+
+        monkeypatch.setenv(kernels.KERNELS_ENV, "1")
+        owner = owner_factory(tparams, seed=29)
+        out = owner.build(make_database([("a", 7), ("b", 9), ("c", 7)], bits=8))
+        cloud = CloudServer(tparams, owner.keys.trapdoor.public)
+        cloud.install(out.cloud_package)
+        user = DataUser(tparams, out.user_package, default_rng(2))
+        kernels.clear_caches()
+        cloud.search(user.make_tokens(Query.parse(7, "=")))
+        assert kernels.cache_sizes()["entry_cache"] > 0
+        kernels.clear_caches()
+        assert kernels.cache_sizes()["entry_cache"] == 0
+        assert len(cloud._entry_cache) == 0
+
     @pytest.mark.parametrize("value,expected", [
         ("0", False), ("false", False), ("OFF", False), ("no", False),
         ("1", True), ("on", True), ("", True),

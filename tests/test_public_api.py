@@ -50,3 +50,25 @@ def test_quickstart_docstring_is_runnable():
     system.setup(make_database([("r1", 41), ("r2", 7)], bits=8))
     outcome = system.search(Query.parse(10, ">"))
     assert outcome.verified and len(outcome.record_ids) == 1
+
+
+
+@pytest.mark.parametrize(
+    "module,path",
+    [
+        ("repro", "RangeQuery"),
+        ("repro", "RangeOutcome"),
+        ("repro.core", "RangeQuery"),
+        ("repro.system", "SlicerSystem.range_search"),
+        ("repro.core.user", "DataUser.range_tokens"),
+        ("repro.core.cloud", "CloudServer.search_plan"),
+        ("repro.sharding", "ShardedCloudFrontend.search_plan"),
+    ],
+)
+def test_superseded_range_api_is_gone(module, path):
+    """Two-sided ranges go through the planner: ``search_plan(Range(...))``."""
+    owner, _, name = path.rpartition(".")
+    target = importlib.import_module(module)
+    if owner:
+        target = getattr(target, owner)
+    assert not hasattr(target, name)
