@@ -3,10 +3,12 @@ injection on the ``user → contract``, ``contract → cloud``,
 ``cloud → contract`` and ``owner → cloud/chain`` boundaries, plus the
 retry/timeout/backoff machinery that survives it.
 
-Opt-in only: construct a :class:`ChaosTransport` and hand it to
-:class:`~repro.system.SlicerSystem`, or export ``REPRO_CHAOS=1``.  With no
-transport (the default) nothing here runs and the direct in-process path is
-byte-identical to before this package existed.
+Chaos is a property of the link, not a second copy of the protocol: every
+party boundary of :class:`~repro.system.SlicerSystem` and of the sharded
+front-end goes through :func:`send` inside a :func:`run_leg`.  Hand the
+system a :class:`ChaosTransport` and those legs encode, cross the faulty
+link and retry; with no transport (the default) the same calls hand each
+message to its handler in process, once, with no codec, retry or counter.
 """
 
 from .faults import (
@@ -29,7 +31,8 @@ from .transport import (
     OWNER_TO_CONTRACT,
     USER_TO_CONTRACT,
     ChaosTransport,
-    chaos_enabled,
+    run_leg,
+    send,
     shard_channel,
 )
 
@@ -46,7 +49,8 @@ __all__ = [
     "profile_named",
     "RetryPolicy",
     "ChaosTransport",
-    "chaos_enabled",
+    "run_leg",
+    "send",
     "USER_TO_CONTRACT",
     "CONTRACT_TO_CLOUD",
     "CLOUD_TO_CONTRACT",

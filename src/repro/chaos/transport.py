@@ -16,8 +16,9 @@ reply.  Before, during and after delivery it consults a
 * **reorder** — the message is held and delivered *after* the next message
   on the same channel (stale at-least-once delivery),
 * **crash** — the receiving endpoint dies before processing; the caller's
-  ``on_crash`` hook restarts it (the cloud reloads its
-  :mod:`~repro.storage.state_io` snapshot) and the request is lost,
+  ``on_crash`` hook restarts it (the cloud reopens its segment store, or
+  reloads its :mod:`~repro.storage.state_io` snapshot) and the request is
+  lost,
 * **duplicate** — the handler sees the message twice; receiver-side
   idempotency (``idempotency_key``) deduplicates state-changing calls,
 * **reply drop / stall** — the handler ran but its answer is lost, which
@@ -32,13 +33,17 @@ sleeps): chaos runs are as fast as clean ones and fully deterministic.
 from __future__ import annotations
 
 import hashlib
-import os
 
 from ..common import perfstats
 from ..common.encoding import decode_parts, encode_parts
-from ..common.errors import ParameterError, TransportCorruption, TransportTimeout
+from ..common.errors import (
+    ParameterError,
+    TransientChainError,
+    TransportCorruption,
+    TransportTimeout,
+)
 from ..obs import trace
-from .faults import FaultKind, FaultPlan, FaultProfile, profile_named
+from .faults import FaultKind, FaultPlan, profile_named
 
 # Channel names for the Fig. 1 party boundaries.
 USER_TO_CONTRACT = "user->contract"
@@ -61,15 +66,6 @@ def shard_channel(base: str, shard_id: int) -> str:
     return f"{base}#shard{shard_id}"
 
 
-def chaos_enabled() -> bool:
-    """``REPRO_CHAOS=1`` opts benchmarks/systems into a default chaos transport.
-
-    The default (``0``/unset) leaves every existing code path byte-identical:
-    no transport is constructed, no RNG is consumed, no counter is touched.
-    """
-    return os.environ.get("REPRO_CHAOS", "0").lower() not in ("", "0", "false", "no")
-
-
 def frame(payload: bytes) -> bytes:
     """Wrap wire bytes with a content digest (the transport integrity layer)."""
     return encode_parts(hashlib.sha256(payload).digest(), payload)
@@ -84,6 +80,69 @@ def unframe(blob: bytes) -> bytes:
     if hashlib.sha256(payload).digest() != digest:
         raise TransportCorruption("frame failed its content digest")
     return payload
+
+
+def send(
+    transport,
+    channel: str,
+    message,
+    handler,
+    codec,
+    *,
+    idempotency_key: object | None = None,
+    cache_if=None,
+    on_crash=None,
+    retry_reason=None,
+):
+    """Carry ``message`` across one party boundary; returns ``handler``'s reply.
+
+    Without a transport the handler gets ``message`` itself, in process: no
+    codec, no copy, no fault draw.  With one, ``codec = (dump, load)`` turns
+    the message into wire bytes, :meth:`ChaosTransport.deliver` carries them
+    (faults, ``idempotency_key``/``cache_if`` dedup, ``on_crash`` restart),
+    and the handler gets the decoded copy.
+
+    ``retry_reason(reply)`` names a reply a retry may clear, such as a
+    reverted settlement; over a transport it raises
+    :class:`TransientChainError` so the leg's retry policy runs again.  In
+    process there is no retry, so the reply is returned as is.
+    """
+    if transport is None:
+        return handler(message)
+    dump, load = codec
+    reply = transport.deliver(
+        channel,
+        dump(message),
+        lambda blob: handler(load(blob)),
+        idempotency_key=idempotency_key,
+        cache_if=cache_if,
+        on_crash=on_crash,
+    )
+    reason = retry_reason(reply) if retry_reason is not None else None
+    if reason is not None:
+        raise TransientChainError(reason)
+    return reply
+
+
+def run_leg(transport, retry, op, *, label: str):
+    """Run one boundary leg ``op(attempt)``; returns ``(result, attempts)``.
+
+    In process ``op(1)`` runs once and ``attempts`` is 0: nothing crossed a
+    wire.  Over a transport the :class:`~repro.chaos.retry.RetryPolicy`
+    reruns ``op`` on delivery errors until it returns (``attempts`` is the
+    number of runs) or raises
+    :class:`~repro.common.errors.RetryExhausted`.
+    """
+    if transport is None:
+        return op(1), 0
+    runs = 0
+
+    def counted(attempt: int):
+        nonlocal runs
+        runs = attempt
+        return op(attempt)
+
+    return retry.run(counted, transport=transport, label=label), runs
 
 
 class ChaosTransport:
@@ -112,16 +171,6 @@ class ChaosTransport:
     @classmethod
     def for_profile(cls, name: str, seed: int = _DEFAULT_SEED) -> "ChaosTransport":
         return cls(FaultPlan(profile_named(name), seed))
-
-    @classmethod
-    def from_env(cls) -> "ChaosTransport":
-        """Profile/seed from ``REPRO_CHAOS_PROFILE`` / ``REPRO_CHAOS_SEED``."""
-        name = os.environ.get("REPRO_CHAOS_PROFILE", "lossy")
-        try:
-            seed = int(os.environ.get("REPRO_CHAOS_SEED", str(_DEFAULT_SEED)), 0)
-        except ValueError as exc:
-            raise ParameterError(f"REPRO_CHAOS_SEED must be an integer: {exc}") from exc
-        return cls.for_profile(name, seed)
 
     # ----------------------------------------------------------- the clock
 

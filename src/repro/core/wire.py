@@ -72,3 +72,8 @@ def dump_response(response: SearchResponse) -> bytes:
 
 def load_response(blob: bytes) -> SearchResponse:
     return SearchResponse([_load_result(p) for p in codec.unpack(blob, _KIND_RESPONSE)])
+
+
+#: ``(dump, load)`` pairs for :func:`repro.chaos.transport.send`.
+TOKEN_CODEC = (dump_tokens, load_tokens)
+RESPONSE_CODEC = (dump_response, load_response)

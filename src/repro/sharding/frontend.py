@@ -18,12 +18,12 @@ replicated prime set, so the merged response is byte-identical to the
 single-cloud response at any shard count (the property suite asserts this
 bit for bit).
 
-Two execution paths exist.  The **in-process simulation** (default) serves
-shards sequentially in shard-id order — deterministic, used by tests and
-benchmarks.  With a ``transport`` the request legs cross
-the fault-injecting :class:`~repro.chaos.ChaosTransport` on **per-shard
-channels** (``contract->cloud#shardK``), each with its own retry budget and
-crash-restart hook backed by a per-shard durable snapshot.  The real
+Shards are served sequentially in shard-id order, which keeps runs
+deterministic.  Each shard's request is one :func:`~repro.chaos.send` leg:
+in process by default, or, with a ``transport``, across the fault-injecting
+:class:`~repro.chaos.ChaosTransport` on a **per-shard channel**
+(``contract->cloud#shardK``) with its own retry budget and a crash-restart
+hook backed by the shard's segment store or per-shard snapshot.  The real
 ``asyncio`` socket path lives in :mod:`repro.sharding.net`.
 
 A shard marked dead (:meth:`kill_shard`, no snapshot to restart from)
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import pathlib
 
-from ..chaos import CONTRACT_TO_CLOUD, RetryPolicy, shard_channel
+from ..chaos import CONTRACT_TO_CLOUD, RetryPolicy, run_leg, send, shard_channel
 from ..common import perfstats
 from ..common.encoding import encode_parts, encode_uint
 from ..common.errors import ParameterError, StateError
@@ -124,9 +124,10 @@ class ShardedCloudFrontend:
         server.install(pkg.package, witness_primes=pkg.local_primes)
         for prime in pkg.local_primes:
             self._local_primes[pkg.shard_id][prime] = None
-        if self.transport is not None:
+        if self.transport is not None and server._store is None:
             # Durable per-shard snapshot, taken atomically with the install —
-            # what a crash-restarted shard reloads.
+            # what a crash-restarted shard reloads.  A shard with a segment
+            # store reopens from it instead, so it needs none.
             self._snapshots[pkg.shard_id] = server.snapshot()
 
     def precompute_witnesses(self) -> int:
@@ -311,29 +312,23 @@ class ShardedCloudFrontend:
         if sid in self._dead:
             return self._dead_response(sid, shard_tokens)
         server = self.shard_servers[sid]
-        if self.transport is None:
-            return server.search(shard_tokens, _observe=False)
-
-        # Chaos leg: this shard's scatter crosses the transport on its own
-        # channel, retried independently; a crash fault restarts only this
-        # shard from its durable snapshot.
-        tokens_wire = wire.dump_tokens(shard_tokens)
-        channel = shard_channel(CONTRACT_TO_CLOUD, sid)
-
-        def scatter_op(attempt: int) -> bytes:
-            return self.transport.deliver(
-                channel,
-                tokens_wire,
-                lambda blob: wire.dump_response(
-                    server.search(wire.load_tokens(blob), _observe=False)
-                ),
+        # This shard's scatter leg: in process, or over its own transport
+        # channel with its own retry budget, where a crash restarts only
+        # this shard from its durable state.
+        response, _ = run_leg(
+            self.transport,
+            self.retry,
+            lambda attempt: send(
+                self.transport,
+                shard_channel(CONTRACT_TO_CLOUD, sid),
+                shard_tokens,
+                lambda tokens: server.search(tokens, _observe=False),
+                wire.TOKEN_CODEC,
                 on_crash=lambda: self._restart_shard(sid),
-            )
-
-        response_wire = self.retry.run(
-            scatter_op, transport=self.transport, label=f"shard{sid}.search"
+            ),
+            label=f"shard{sid}.search",
         )
-        return wire.load_response(response_wire)
+        return response
 
     def _shard_search_many(
         self, sid: int, shard_lists: list[list[SearchToken]]

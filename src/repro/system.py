@@ -13,18 +13,16 @@ the contract verifies and settles (payment to the cloud on success, refund
 on failure).  Inject a :class:`~repro.core.cloud.MaliciousCloud` to watch
 the refund path fire — that is the fairness property.
 
-Two delivery modes coexist:
+Every party boundary is one :func:`~repro.chaos.send` leg inside a
+:func:`~repro.chaos.run_leg`, so each operation has one body.  With no
+``transport`` (the default) a leg hands its message to the handler in
+process, once.  With a :class:`~repro.chaos.ChaosTransport` the same leg
+serializes through :mod:`repro.core.wire`, crosses the fault-injecting link
+and is wrapped in a :class:`~repro.chaos.RetryPolicy` with idempotent
+re-submission; when the retry budget runs out the search degrades to a
+:class:`SearchOutcome` error state instead of raising.
 
-* **direct** (default, ``transport=None``) — the in-process calls this file
-  always had, byte-identical to before the chaos layer existed;
-* **chaos** — pass a :class:`~repro.chaos.ChaosTransport` (or export
-  ``REPRO_CHAOS=1``) and every party boundary serializes through
-  :mod:`repro.core.wire`, crosses the fault-injecting transport, and is
-  wrapped in a :class:`~repro.chaos.RetryPolicy` with idempotent
-  re-submission.  When the retry budget runs out the search degrades to a
-  :class:`SearchOutcome` error state instead of raising.
-
-Orthogonally to delivery, ``settlement_mode`` picks how settlements reach
+Independently of delivery, ``settlement_mode`` picks how settlements reach
 the chain:
 
 * ``"sync"`` (default) — every contract call executes immediately and each
@@ -64,12 +62,13 @@ from .chaos import (
     USER_TO_CONTRACT,
     ChaosTransport,
     RetryPolicy,
-    chaos_enabled,
+    run_leg,
+    send,
     shard_channel,
 )
 from .common import perfstats
 from .common.encoding import encode_uint
-from .common.errors import RetryExhausted, StateError, TransientChainError
+from .common.errors import RetryExhausted, StateError
 from .crypto import kernels
 from .obs import audit as obs_audit
 from .obs import metrics, trace
@@ -141,12 +140,11 @@ class DeliveryFailure:
 class SearchOutcome:
     """Everything one on-chain search produced.
 
-    Under chaos delivery a search can *degrade* instead of settling: when
-    the retry budget is exhausted ``error`` carries the reason (and
-    ``failure`` its structured form), ``verified`` is False, and the
-    receipt/response fields for the legs that never completed are None.
-    Direct-mode outcomes always have ``error is None`` and every field
-    populated.
+    Over a transport a search can *degrade* instead of settling: when the
+    retry budget is exhausted ``error`` carries the reason (and ``failure``
+    its structured form), ``verified`` is False, and the receipt/response
+    fields for the legs that never completed are None.  In-process outcomes
+    always have ``error is None`` and every field populated.
     """
 
     query: Query
@@ -159,7 +157,8 @@ class SearchOutcome:
     settle_receipt: Receipt | None
     #: Degradation reason when delivery gave up; None on a settled search.
     error: str | None = None
-    #: Delivery attempts consumed across the submit and settle phases.
+    #: Delivery attempts consumed across the submit and settle phases (an
+    #: in-process search delivers nothing and counts as one attempt).
     attempts: int = 1
     #: Structured failure attribution (exception class, retried label,
     #: FaultPlan step); None unless the search degraded.
@@ -229,6 +228,28 @@ class PlanOutcome:
         return out
 
 
+#: ``(dump, load)`` wire codecs for the owner's boundary messages.
+_PACKAGE_CODEC = (
+    lambda package: state_io.dump_cloud_state(
+        package.index, list(package.primes), package.accumulation
+    ),
+    lambda blob: CloudPackage(*state_io.load_cloud_state(blob)),
+)
+_SHARD_PACKAGE_CODEC = (dump_shard_package, load_shard_package)
+_ADS_CODEC = (codec.encode_int, codec.decode_int)
+
+
+def _landed(receipt: Receipt) -> bool:
+    """Only a call that did not revert may be answered from the dedup cache."""
+    return bool(receipt.status)
+
+
+def _revert_reason(settled: tuple[Receipt, int | None]) -> str | None:
+    """A reverted settlement left the escrow open, so a retry may land it."""
+    receipt, _height = settled
+    return None if receipt.status else f"settle reverted: {receipt.revert_reason}"
+
+
 class SlicerSystem:
     """A full deployment of the four-party framework."""
 
@@ -244,7 +265,6 @@ class SlicerSystem:
         shards: int = 1,
         shard_plan=None,
         account_tag: str | None = None,
-        env_transport: bool = True,
         settlement_mode: str = "sync",
         chain_faults=None,
         settle_gas_limit: int = SETTLE_GAS_LIMIT,
@@ -270,12 +290,8 @@ class SlicerSystem:
             self.mempool = Mempool(self.chain)
             self.builder = BlockBuilder(self.chain, self.mempool, fault_plan=chain_faults)
 
-        # Chaos delivery (opt-in): None keeps the direct in-process path
-        # bit-for-bit identical to the pre-chaos system.  ``env_transport=
-        # False`` also opts out of the REPRO_CHAOS auto-detection (multi-
-        # system deployments that must stay direct regardless of env).
-        if transport is None and env_transport and chaos_enabled():
-            transport = ChaosTransport.from_env()
+        # Message delivery: None hands every boundary message to its handler
+        # in process; a ChaosTransport carries it over a faulty link.
         self.transport = transport
         self.retry = retry or RetryPolicy()
 
@@ -304,8 +320,8 @@ class SlicerSystem:
             self.owner.shard_plan = self.cloud.plan
         if store_dir is not None:
             # Durable epoch-segment store(s): every install appends a
-            # segment, and the chaos crash hook restarts *from the store*
-            # instead of the monolithic snapshot (warm when checkpointed).
+            # segment, and the crash hook restarts *from the store* instead
+            # of the monolithic snapshot (warm when checkpointed).
             self.cloud.attach_store(store_dir)
 
         tag = account_tag
@@ -326,12 +342,9 @@ class SlicerSystem:
         self.extra_users: dict[str, tuple[bytes, DataUser]] = {}
         self._last_user_package = None
 
+        #: What a crash-restarted cloud without a segment store reloads.
         self._cloud_snapshot: bytes | None = None
-        self._chaos_op = 0
-        #: Block heights chaos-delivered settlements landed at, by query id
-        #: (the chaos settle handler runs inside ``transport.deliver`` and
-        #: cannot thread the height back through the cached receipt).
-        self._settle_heights: dict[int, int] = {}
+        self._ops = 0
 
     # ---------------------------------------------------------------- setup
 
@@ -340,7 +353,9 @@ class SlicerSystem:
         with trace.span("setup", records=len(database.records)):
             output = self.owner.build(database)
             with trace.span("install"):
-                self._install(output)
+                # The initial install ships with the deployment itself, so
+                # it never crosses the transport.
+                self._install(output, transport=None)
             self.contract, self.deploy_receipt = self.chain.deploy(
                 self.owner_address,
                 SlicerContract,
@@ -355,9 +370,6 @@ class SlicerSystem:
             self.user = DataUser(self.params, output.user_package, self.rng.spawn())
             self._last_user_package = output.user_package
             self.chain.mine()
-            if self.transport is not None:
-                # First durable snapshot: what a crash-restarted cloud reloads.
-                self._cloud_snapshot = self.cloud.snapshot()
         return output
 
     def authorize_user(self, label: str, funding: int = DEFAULT_FUNDING) -> DataUser:
@@ -381,29 +393,85 @@ class SlicerSystem:
         with trace.span("insert", records=len(additions.records)):
             output = self.owner.insert(additions)
             with trace.span("install"):
-                if self.transport is None:
-                    self._install(output)
-                elif self._sharded and output.shard_packages is not None:
-                    self._chaos_install_shards(output.shard_packages)
-                else:
-                    self._chaos_install(output.cloud_package)
+                self._install(output, self.transport)
             assert self.user is not None
             self.user.refresh(output.user_package)
             for _, extra in self.extra_users.values():
                 extra.refresh(output.user_package)
             self._last_user_package = output.user_package
+            op = self._next_op()
             with trace.span("update_ads"):
-                if self.transport is None:
-                    receipt = self._chain_call(
-                        self.owner_address, contract, "update_ads", (output.chain_ads,)
-                    )
-                else:
-                    receipt = self._chaos_update_ads(contract, output.chain_ads)
+                receipt, _ = run_leg(
+                    self.transport,
+                    self.retry,
+                    lambda attempt: send(
+                        self.transport,
+                        OWNER_TO_CONTRACT,
+                        output.chain_ads,
+                        lambda ads: self._chain_call(
+                            self.owner_address, contract, "update_ads", (ads,)
+                        ),
+                        _ADS_CODEC,
+                        idempotency_key=("ads", op),
+                        cache_if=_landed,
+                    ),
+                    label="update_ads",
+                )
             if not receipt.status:
                 raise StateError(f"ADS update reverted: {receipt.revert_reason}")
             metrics.observe("insert.update_ads_gas", receipt.gas_used)
             self._mine_boundary()
         return receipt
+
+    def _install(self, output: OwnerOutput, transport: ChaosTransport | None) -> None:
+        """Owner -> cloud install: one leg for the flat package, or one per shard.
+
+        Each shard's package crosses its own channel (``owner->cloud#shardK``)
+        with its own idempotency key and retry budget, and a crash restarts
+        only that shard.
+        """
+        op = self._next_op()
+        if self._sharded and output.shard_packages is not None:
+            for pkg in output.shard_packages:
+                sid = pkg.shard_id
+                run_leg(
+                    transport,
+                    self.retry,
+                    lambda attempt: send(
+                        transport,
+                        shard_channel(OWNER_TO_CLOUD, sid),
+                        pkg,
+                        self.cloud.install_shard,
+                        _SHARD_PACKAGE_CODEC,
+                        idempotency_key=("install", op, sid),
+                        on_crash=lambda: self.cloud._restart_shard(sid),
+                    ),
+                    label=f"install.shard{sid}",
+                )
+            self._keep_restart_point()
+        else:
+            run_leg(
+                transport,
+                self.retry,
+                lambda attempt: send(
+                    transport,
+                    OWNER_TO_CLOUD,
+                    output.cloud_package,
+                    self._install_package,
+                    _PACKAGE_CODEC,
+                    idempotency_key=("install", op),
+                    on_crash=self._restart_cloud,
+                ),
+                label="install",
+            )
+
+    def _install_package(self, package: CloudPackage) -> None:
+        # The restart point is refreshed atomically with the install: a
+        # crash after this ran (but before the reply arrived) must restart
+        # the cloud into the *installed* state, or the idempotency cache and
+        # the cloud's reality would disagree.
+        self.cloud.install(package)
+        self._keep_restart_point()
 
     # --------------------------------------------------------------- search
 
@@ -422,61 +490,97 @@ class SlicerSystem:
         else:
             searcher_address, searcher = self.extra_users[as_user]
 
-        mode = "direct" if self.transport is None else "chaos"
-        with trace.span("search", mode=mode):
+        with trace.span("search"):
             tokens = searcher.make_tokens(query)
-            if self.transport is None:
-                outcome = self._search_direct(
-                    contract, query, payment, tokens, searcher, searcher_address
-                )
-            else:
-                outcome = self._search_chaos(
-                    contract, query, payment, tokens, searcher, searcher_address
-                )
+            outcome = self._paid_search(
+                contract, query, payment, tokens, searcher, searcher_address
+            )
             trace.set_attr("query_id", outcome.query_id)
             trace.set_attr("verified", outcome.verified)
             self._record_search(outcome, payment)
         return outcome
 
-    def _search_direct(
+    def _paid_search(
         self, contract, query, payment, tokens, searcher, searcher_address
     ) -> SearchOutcome:
-        """In-process delivery — the original, fault-free flow.
+        """The three legs of one search, each a :func:`~repro.chaos.send`:
 
-        Block settlement changes *when* things land, never what executes:
-        the submit still runs immediately (journaled through the builder so
-        a reorg can replay it), but the settlement stages in the mempool and
-        lands when :meth:`BlockBuilder.seal_block` packs it — same sender,
-        same calldata, same per-call gas metering, so the receipt is
-        bit-identical to the synchronous one.
+        1. user -> contract: post tokens + payment (``submit_query``);
+        2. contract -> cloud: tokens reach the cloud, which searches;
+        3. cloud -> contract: response reaches ``verify_and_settle``.
+
+        Over a transport each leg is retried with deterministic backoff and
+        idempotent re-submission (keyed by an operation counter, so a
+        duplicated or re-sent message never double-charges the escrow), and
+        legs 2 and 3 retry together, so a crash-restarted cloud searches
+        again.  Exhausting the retry budget degrades to an error outcome
+        instead of raising — the caller sees ``verified=False`` plus
+        ``error``.
         """
-        with trace.span("submit"):
-            submit_receipt = self._chain_call(
-                searcher_address,
-                contract,
-                "submit_query",
-                (tokens_digest_input(tokens),),
-                value=payment,
-            )
+        op = self._next_op()
+        try:
+            with trace.span("submit"):
+                submit_receipt, attempts = run_leg(
+                    self.transport,
+                    self.retry,
+                    lambda attempt: send(
+                        self.transport,
+                        USER_TO_CONTRACT,
+                        tokens,
+                        lambda posted: self._chain_call(
+                            searcher_address,
+                            contract,
+                            "submit_query",
+                            (tokens_digest_input(posted),),
+                            value=payment,
+                        ),
+                        wire.TOKEN_CODEC,
+                        idempotency_key=("submit", op),
+                        cache_if=_landed,
+                    ),
+                    label="submit_query",
+                )
+        except RetryExhausted as exc:
+            return self._degraded(query, tokens, exc, exc.attempts)
         if not submit_receipt.status:
             raise StateError(f"query submission reverted: {submit_receipt.revert_reason}")
         query_id = submit_receipt.return_value
 
-        with trace.span("cloud.search"):
-            response = self.cloud.search(tokens)
-        settle_height: int | None = None
-        with trace.span("verify_settle"):
-            if self.builder is not None:
-                settle_receipt, settle_height = self._settle_block(
-                    contract, [(query_id, response)]
-                )[query_id]
-            else:
-                settle_receipt = self.chain.call(
-                    self.cloud_address,
-                    contract,
-                    "verify_and_settle",
-                    (query_id, self.cloud.ads_value, response_to_chain_args(response)),
+        def serve_and_settle(attempt: int):
+            with trace.span("cloud.search", attempt=attempt):
+                response = self._serve(tokens)
+            # The idempotency key is op-scoped (a duplicated message must not
+            # settle twice) while the block-mode tx id is attempt-scoped: a
+            # retry after a transient revert is a new staging.
+            with trace.span("verify_settle", attempt=attempt):
+                settled = send(
+                    self.transport,
+                    CLOUD_TO_CONTRACT,
+                    response,
+                    lambda delivered: self._settle(
+                        contract, query_id, delivered, ("settle", op, attempt)
+                    ),
+                    wire.RESPONSE_CODEC,
+                    idempotency_key=("settle", op),
+                    cache_if=lambda settled: _landed(settled[0]),
+                    on_crash=self._restart_cloud,
+                    retry_reason=_revert_reason,
                 )
+            return response, settled
+
+        try:
+            (response, (settle_receipt, settle_height)), settle_attempts = run_leg(
+                self.transport, self.retry, serve_and_settle, label="verify_and_settle"
+            )
+        except RetryExhausted as exc:
+            return self._degraded(
+                query,
+                tokens,
+                exc,
+                attempts + exc.attempts,
+                query_id=query_id,
+                submit_receipt=submit_receipt,
+            )
         verified = bool(settle_receipt.status and settle_receipt.return_value)
         record_ids = searcher.decrypt_results(response) if verified else set()
         if self.builder is None:
@@ -490,146 +594,28 @@ class SlicerSystem:
             record_ids=record_ids,
             submit_receipt=submit_receipt,
             settle_receipt=settle_receipt,
+            attempts=max(1, attempts + settle_attempts),
             settle_height=settle_height,
         )
 
-    def _search_chaos(
-        self, contract, query, payment, tokens, searcher, searcher_address
-    ) -> SearchOutcome:
-        """Chaos delivery: every boundary crosses the fault-injecting transport.
+    def _serve(self, tokens: list[SearchToken]) -> SearchResponse:
+        """Contract -> cloud: the cloud reads the posted tokens and searches.
 
-        Three legs, each retried with deterministic backoff and idempotent
-        re-submission (keyed by an operation counter, so a duplicated or
-        re-sent message never double-charges the escrow):
-
-        1. user -> contract: post tokens + payment (``submit_query``);
-        2. contract -> cloud: tokens reach the cloud, which searches;
-        3. cloud -> contract: response reaches ``verify_and_settle``.
-
-        Exhausting the retry budget degrades to an error outcome instead of
-        raising — the caller sees ``verified=False`` plus ``error``.
+        Not deduplicated: an honest cloud's search is a pure function of its
+        state, and re-running it after a crash restart is the recovery path
+        under test.  A sharded tier runs its own per-shard legs inside
+        ``search`` (channels ``contract->cloud#shardK``), so its scatter is
+        not wrapped in a second tier-wide leg.
         """
-        transport = self.transport
-        assert transport is not None
-        tokens_wire = wire.dump_tokens(tokens)
-        op = self._next_op()
-        attempts = {"n": 0}
-
-        def submit_op(attempt: int) -> Receipt:
-            attempts["n"] += 1
-            receipt = transport.deliver(
-                USER_TO_CONTRACT,
-                tokens_wire,
-                lambda blob: self._chain_call(
-                    searcher_address,
-                    contract,
-                    "submit_query",
-                    (tokens_digest_input(wire.load_tokens(blob)),),
-                    value=payment,
-                ),
-                idempotency_key=("submit", op),
-                cache_if=lambda r: r.status,
-            )
-            return receipt
-
-        try:
-            with trace.span("submit"):
-                submit_receipt = self.retry.run(
-                    submit_op, transport=transport, label="submit_query"
-                )
-        except RetryExhausted as exc:
-            return self._degraded(query, tokens, exc, attempts["n"])
-        if not submit_receipt.status:
-            # A genuine (non-transient) revert: same contract as direct mode.
-            raise StateError(f"query submission reverted: {submit_receipt.revert_reason}")
-        query_id = submit_receipt.return_value
-
-        def settle_op(attempt: int) -> tuple[bytes, Receipt]:
-            attempts["n"] += 1
-            # Leg 2: the cloud reads the tokens and searches.  Not cached —
-            # an honest cloud's search is a pure function of its state, and
-            # re-running it after a crash restart is exactly the recovery
-            # path under test.  A sharded tier runs its *own* per-shard
-            # transport legs inside frontend.search (channels
-            # ``contract->cloud#shardK``), so the scatter is not wrapped in
-            # a second tier-wide delivery here.
-            with trace.span("cloud.search", attempt=attempt):
-                if self._sharded:
-                    response_wire = wire.dump_response(self.cloud.search(tokens))
-                else:
-                    response_wire = transport.deliver(
-                        CONTRACT_TO_CLOUD,
-                        tokens_wire,
-                        lambda blob: wire.dump_response(self.cloud.search(wire.load_tokens(blob))),
-                        on_crash=self._restart_cloud,
-                    )
-            # Leg 3: response + current Ac to the contract for settlement.
-            # Under block settlement the delivered handler stages the tx and
-            # runs seal rounds until it lands; the idempotency key stays the
-            # op-scoped one (a duplicated message must not re-settle), while
-            # the mempool tx id is *attempt*-scoped — a retry after a
-            # transient revert is a new staging, not a duplicate.
-            if self.builder is not None:
-                settle_handler = lambda blob: self._chaos_block_settle(
-                    contract, query_id, blob, op, attempt
-                )
-            else:
-                settle_handler = lambda blob: self.chain.call(
-                    self.cloud_address,
-                    contract,
-                    "verify_and_settle",
-                    (
-                        query_id,
-                        self.cloud.ads_value,
-                        response_to_chain_args(wire.load_response(blob)),
-                    ),
-                )
-            with trace.span("verify_settle", attempt=attempt):
-                receipt = transport.deliver(
-                    CLOUD_TO_CONTRACT,
-                    response_wire,
-                    settle_handler,
-                    idempotency_key=("settle", op),
-                    cache_if=lambda r: r.status,
-                    on_crash=self._restart_cloud,
-                )
-                if not receipt.status:
-                    # Reverts leave the query open (state rolled back), so
-                    # the settlement can be retried — e.g. after a crash
-                    # restart briefly served a stale Ac.
-                    raise TransientChainError(f"settle reverted: {receipt.revert_reason}")
-            return response_wire, receipt
-
-        try:
-            response_wire, settle_receipt = self.retry.run(
-                settle_op, transport=transport, label="verify_and_settle"
-            )
-        except RetryExhausted as exc:
-            return self._degraded(
-                query,
-                tokens,
-                exc,
-                attempts["n"],
-                query_id=query_id,
-                submit_receipt=submit_receipt,
-            )
-
-        response = wire.load_response(response_wire)
-        verified = bool(settle_receipt.return_value)
-        record_ids = searcher.decrypt_results(response) if verified else set()
-        if self.builder is None:
-            self.chain.mine()
-        return SearchOutcome(
-            query=query,
-            query_id=query_id,
-            tokens=tokens,
-            response=response,
-            verified=verified,
-            record_ids=record_ids,
-            submit_receipt=submit_receipt,
-            settle_receipt=settle_receipt,
-            attempts=attempts["n"],
-            settle_height=self._settle_heights.get(query_id),
+        if self._sharded:
+            return self.cloud.search(tokens)
+        return send(
+            self.transport,
+            CONTRACT_TO_CLOUD,
+            tokens,
+            self.cloud.search,
+            wire.TOKEN_CODEC,
+            on_crash=self._restart_cloud,
         )
 
     def _degraded(
@@ -658,14 +644,11 @@ class SlicerSystem:
         )
 
     def _record_search(self, outcome: SearchOutcome, payment: int) -> None:
-        """Fold one search into the audit log and the metrics registry.
+        """Fold one search into the metrics registry and the audit log.
 
         Called inside the search's root span, so the audit record carries
-        the trace id of the span tree it corresponds to.  The verdict
-        mirrors the outcome exactly (see :func:`_audit_verdict`) — the
-        chaos property tests assert this correspondence.
+        the trace id of the span tree it corresponds to.
         """
-        verdict, detail = _audit_verdict(outcome)
         submit_gas = outcome.submit_receipt.gas_used if outcome.submit_receipt else 0
         settle_gas = outcome.settle_receipt.gas_used if outcome.settle_receipt else 0
         metrics.observe("search.tokens_posted", len(outcome.tokens))
@@ -676,16 +659,25 @@ class SlicerSystem:
         if outcome.settle_receipt is not None:
             metrics.observe("gas.verify_and_settle", settle_gas)
         failure = outcome.failure
-        shard_extra = (
-            {"shards": self.cloud.shards_for_tokens(outcome.tokens)}
-            if self._sharded
-            else {}
+        self._audit(
+            outcome,
+            payment,
+            submit_gas + settle_gas,
+            fault_step=failure.fault_step if failure else None,
         )
-        block_extra = (
-            {"block": outcome.settle_height}
-            if outcome.settle_height is not None
-            else {}
-        )
+
+    def _audit(self, outcome: SearchOutcome, payment: int, gas: int, **extra) -> None:
+        """Append one escrow's settlement to the audit log.
+
+        The verdict mirrors the outcome exactly (see :func:`_audit_verdict`)
+        — the chaos property tests assert this correspondence.  ``gas`` is
+        what this escrow's own transactions cost.
+        """
+        verdict, detail = _audit_verdict(outcome)
+        if self._sharded:
+            extra["shards"] = self.cloud.shards_for_tokens(outcome.tokens)
+        if outcome.settle_height is not None:
+            extra["block"] = outcome.settle_height
         obs_audit.AUDIT_LOG.append(
             query_id=str(outcome.query_id),
             verdict=verdict,
@@ -694,49 +686,45 @@ class SlicerSystem:
             accumulator=self.cloud.ads_value if outcome.response is not None else None,
             paid_to=_PAID_TO[verdict],
             amount=payment if verdict != VERDICT_DEGRADED else 0,
-            gas=submit_gas + settle_gas,
+            gas=gas,
             attempts=outcome.attempts,
             trace_id=trace.current_trace_id(),
             detail=detail,
-            fault_step=failure.fault_step if failure else None,
-            **shard_extra,
-            **block_extra,
+            **extra,
         )
 
     def batch_search(
         self, queries: list[Query], payment: int = DEFAULT_PAYMENT
     ) -> list[SearchOutcome]:
-        """Run several queries, settled by ONE batched contract call.
+        """Run several queries as one round: n escrows, one collection, one settle step.
 
-        Gas-amortised extension: n queries share one settlement transaction
-        (see :meth:`SlicerContract.batch_verify_and_settle`).  Entry
-        collection is batched too: all submitted queries go through one
+        Entry collection is batched: all submitted queries go through one
         :meth:`CloudServer.search_many` call, which dedupes identical tokens
         *across* the staged queries and collects over the batch-wide union —
         per-query responses stay byte-identical to sequential
         :meth:`CloudServer.search` calls (the entry-cache property tests
-        assert this), only the duplicated walks disappear.
+        assert this), only the duplicated walks disappear.  Settlement is
+        amortised too, per ``settlement_mode`` (see :meth:`_settle_batch`).
 
-        The batch transaction is all-or-nothing: one bad response or an
-        out-of-gas reverts it and moves no money.  Each escrow is then
-        settled by its own ``verify_and_settle``, so honest siblings are
-        still paid; an escrow whose own settlement reverts too stays open
-        and is reported as not settled (audit verdict ``degraded``).
-
-        Under block settlement the amortisation moves from the transaction
-        to the *block*: see :meth:`_batch_search_block`.
+        The batch is refused before any escrow is posted unless the user's
+        balance covers every payment: a batch that ran dry part-way would
+        leave its earlier escrows locked, never searched nor settled.  The
+        batch is a direct chain call even over a transport.
         """
         contract = self._require_setup()
         assert self.user is not None
-        if self.builder is not None:
-            return self._batch_search_block(contract, queries, payment)
-
-        with trace.span("batch_search", queries=len(queries)):
+        needed = len(queries) * payment
+        balance = self.chain.balance(self.user_address)
+        if balance < needed:
+            raise StateError(
+                f"batch of {len(queries)} queries needs {needed}, the user holds {balance}"
+            )
+        with trace.span("batch_search", queries=len(queries), mode=self.settlement_mode):
             submitted = []
             for query in queries:
                 tokens = self.user.make_tokens(query)
                 with trace.span("submit"):
-                    submit = self.chain.call(
+                    submit = self._chain_call(
                         self.user_address,
                         contract,
                         "submit_query",
@@ -748,87 +736,88 @@ class SlicerSystem:
                 submitted.append((query, submit, tokens))
             with trace.span("cloud.search", batch=len(submitted)):
                 responses = self.cloud.search_many([t for _, _, t in submitted])
-            staged = [
-                (query, submit, tokens, response)
-                for (query, submit, tokens), response in zip(submitted, responses)
-            ]
-
-            with trace.span("verify_settle", batch=len(staged)):
-                settle = self.chain.call(
-                    self.cloud_address,
-                    contract,
-                    "batch_verify_and_settle",
-                    (
-                        [s.return_value for _, s, _, _ in staged],
-                        self.cloud.ads_value,
-                        [response_to_chain_args(r) for _, _, _, r in staged],
-                    ),
-                )
-                if settle.status:
-                    receipts, verdicts = [settle] * len(staged), settle.return_value
-                else:
-                    # The batch reverted as a whole and moved no money:
-                    # settle each escrow on its own so honest siblings are
-                    # still paid and only a bad escrow is left open.
-                    receipts = [
-                        self.chain.call(
-                            self.cloud_address,
-                            contract,
-                            "verify_and_settle",
-                            (
-                                submit.return_value,
-                                self.cloud.ads_value,
-                                response_to_chain_args(response),
-                            ),
-                        )
-                        for _, submit, _, response in staged
-                    ]
-                    verdicts = [bool(r.status and r.return_value) for r in receipts]
-            metrics.observe("gas.batch_verify_and_settle", settle.gas_used)
+            query_ids = [submit.return_value for _, submit, _ in submitted]
+            with trace.span("verify_settle", batch=len(submitted)):
+                settled, batch_extra = self._settle_batch(contract, query_ids, responses)
             outcomes = []
-            trace_id = trace.current_trace_id()
-            for (query, submit, tokens, response), verified, receipt in zip(
-                staged, verdicts, receipts
+            for (query, submit, tokens), response, (receipt, verified, height, own_gas) in zip(
+                submitted, responses, settled
             ):
                 outcome = SearchOutcome(
                     query=query,
                     query_id=submit.return_value,
                     tokens=tokens,
                     response=response,
-                    verified=bool(verified),
+                    verified=verified,
                     record_ids=self.user.decrypt_results(response) if verified else set(),
                     submit_receipt=submit,
                     settle_receipt=receipt,
+                    settle_height=height,
                 )
                 outcomes.append(outcome)
-                verdict, detail = _audit_verdict(outcome)
-                # Per-record gas is this query's submit tx (plus its own
-                # settlement after a batch revert); the shared batch
-                # settlement tx is attributed once via `extra`, not inflated
-                # onto every record.
-                own_settle_gas = 0 if receipt is settle else receipt.gas_used
-                obs_audit.AUDIT_LOG.append(
-                    query_id=str(outcome.query_id),
-                    verdict=verdict,
-                    tokens_posted=len(tokens),
-                    result_count=len(outcome.record_ids),
-                    accumulator=self.cloud.ads_value,
-                    paid_to=_PAID_TO[verdict],
-                    amount=payment if verdict != VERDICT_DEGRADED else 0,
-                    gas=submit.gas_used + own_settle_gas,
-                    attempts=1,
-                    trace_id=trace_id,
-                    detail=detail,
-                    batch_size=len(staged),
-                    batch_settle_gas=settle.gas_used,
-                    **(
-                        {"shards": self.cloud.shards_for_tokens(tokens)}
-                        if self._sharded
-                        else {}
-                    ),
+                self._audit(
+                    outcome,
+                    payment,
+                    submit.gas_used + own_gas,
+                    batch_size=len(submitted),
+                    **batch_extra,
                 )
-            self.chain.mine()
+            if self.builder is None:
+                self.chain.mine()
         return outcomes
+
+    def _settle_batch(
+        self,
+        contract: SlicerContract,
+        query_ids: list[int],
+        responses: list[SearchResponse],
+    ) -> tuple[list[tuple[Receipt, bool, int | None, int]], dict]:
+        """A batch's settle step: ``(receipt, verified, height, own gas)`` per
+        escrow, plus the audit fields the whole batch shares.
+
+        Block mode stages one ``verify_and_settle`` per escrow and lets ONE
+        block carry them all — the amortisation moves from the transaction
+        to the block, and every verdict lands in the header's settlement
+        root individually, so each is light-client provable.
+
+        Sync mode settles every escrow in one ``batch_verify_and_settle``
+        transaction (see :meth:`SlicerContract.batch_verify_and_settle`),
+        whose gas is attributed once (``batch_settle_gas``) rather than
+        inflated onto every escrow.  That transaction is all-or-nothing: one
+        bad response or an out-of-gas reverts it and moves no money.  Each
+        escrow is then settled by its own ``verify_and_settle``, so honest
+        siblings are still paid; an escrow whose own settlement reverts too
+        stays open and is audited ``degraded``.
+        """
+        if self.builder is not None:
+            tx_ids = [("settle", self._next_op()) for _ in query_ids]
+            landed = self._settle_block(contract, list(zip(query_ids, responses)), tx_ids)
+            for receipt, _ in landed:
+                metrics.observe("gas.verify_and_settle", receipt.gas_used)
+            settled = [
+                (receipt, bool(receipt.status and receipt.return_value), height, receipt.gas_used)
+                for receipt, height in landed
+            ]
+            return settled, {}
+        batch = self.chain.call(
+            self.cloud_address,
+            contract,
+            "batch_verify_and_settle",
+            (query_ids, self.cloud.ads_value, [response_to_chain_args(r) for r in responses]),
+        )
+        metrics.observe("gas.batch_verify_and_settle", batch.gas_used)
+        if batch.status:
+            settled = [(batch, bool(verdict), None, 0) for verdict in batch.return_value]
+        else:
+            receipts = [
+                self._settle(contract, query_id, response, None)[0]
+                for query_id, response in zip(query_ids, responses)
+            ]
+            settled = [
+                (receipt, bool(receipt.status and receipt.return_value), None, receipt.gas_used)
+                for receipt in receipts
+            ]
+        return settled, {"batch_settle_gas": batch.gas_used}
 
     # -------------------------------------------------------------- planner
 
@@ -923,21 +912,49 @@ class SlicerSystem:
         else:
             self.chain.mine()
 
-    def _settle_block(
-        self, contract: SlicerContract, staged: list[tuple[int, SearchResponse]]
-    ) -> dict[int, tuple[Receipt, int]]:
-        """Stage every ``(query_id, response)`` settlement and seal until landed.
+    def _settle(
+        self,
+        contract: SlicerContract,
+        query_id: int,
+        response: SearchResponse,
+        tx_id: object,
+    ) -> tuple[Receipt, int | None]:
+        """One escrow's ``verify_and_settle`` and the block it landed in.
 
-        Returns ``query_id -> (receipt, block_number)``.  One seal round
-        normally lands everything; a :class:`ChainFaultPlan` delay pushes a
-        staged tx past later blocks, and the round loop keeps sealing until
-        it ripens — delayed, never lost.
+        Sync mode executes it now (no height).  Block mode stages it under
+        ``tx_id`` and seals until it lands — same sender, same calldata,
+        same per-call gas metering, so the receipt is bit-identical to the
+        synchronous one.
         """
-        assert self.builder is not None and self.mempool is not None
-        tx_ids: dict[int, tuple] = {}
-        for query_id, response in staged:
-            tx_id = ("settle", self._next_op())
-            self.builder.stage_settlement(
+        if self.builder is None:
+            receipt = self.chain.call(
+                self.cloud_address,
+                contract,
+                "verify_and_settle",
+                (query_id, self.cloud.ads_value, response_to_chain_args(response)),
+            )
+            return receipt, None
+        return self._settle_block(contract, [(query_id, response)], [tx_id])[0]
+
+    def _settle_block(
+        self,
+        contract: SlicerContract,
+        staged: list[tuple[int, SearchResponse]],
+        tx_ids: list[object],
+    ) -> list[tuple[Receipt, int]]:
+        """Stage each ``(query_id, response)`` settlement and seal until landed.
+
+        Returns ``(receipt, block_number)`` per staged escrow, in order.  The
+        caller picks the mempool tx ids: a retried settlement needs a fresh
+        one, since the duplicate guard rightly rejects a re-staged id for
+        good.  One seal round normally lands everything; a
+        :class:`ChainFaultPlan` delay pushes a staged tx past later blocks,
+        and the loop keeps sealing until it ripens — delayed, never lost.
+        """
+        builder = self.builder
+        assert builder is not None
+        for (query_id, response), tx_id in zip(staged, tx_ids):
+            builder.stage_settlement(
                 self.cloud_address,
                 contract,
                 "verify_and_settle",
@@ -945,15 +962,7 @@ class SlicerSystem:
                 gas_limit=self.settle_gas_limit,
                 tx_id=tx_id,
             )
-            tx_ids[query_id] = tx_id
         self._fold_membership_checks([response for _, response in staged])
-        landed = self._run_settle_rounds(list(tx_ids.values()))
-        return {query_id: landed[tx_id] for query_id, tx_id in tx_ids.items()}
-
-    def _run_settle_rounds(self, tx_ids: list[tuple]) -> dict[tuple, tuple[Receipt, int]]:
-        """Seal blocks until every staged tx has a receipt (delay-tolerant)."""
-        builder = self.builder
-        assert builder is not None
         rounds = 0
         while any(tx_id not in builder.receipts for tx_id in tx_ids):
             if rounds >= MAX_SETTLE_ROUNDS:
@@ -962,7 +971,7 @@ class SlicerSystem:
                 )
             builder.seal_block()
             rounds += 1
-        return {tx_id: builder.receipts[tx_id] for tx_id in tx_ids}
+        return [builder.receipts[tx_id] for tx_id in tx_ids]
 
     def _fold_membership_checks(self, responses: list[SearchResponse]) -> None:
         """Trusted self-check: fold one settle round's membership checks
@@ -995,113 +1004,6 @@ class SlicerSystem:
         perfstats.incr("blockmode.selfcheck.items", len(items))
         trace.event("blockmode.selfcheck", ok=ok, items=len(items))
 
-    def _chaos_block_settle(
-        self, contract: SlicerContract, query_id: int, blob: bytes, op: int, attempt: int
-    ) -> Receipt:
-        """Chaos-delivery settle handler under block settlement.
-
-        The mempool tx id is attempt-scoped: after a transient revert (e.g.
-        a crash-restarted cloud briefly serving a stale ``Ac``) the retry
-        stages a *new* transaction — the mempool's duplicate guard would
-        permanently reject a re-staging under the old id, and rightly so.
-        """
-        assert self.builder is not None
-        response = wire.load_response(blob)
-        tx_id = ("settle", op, attempt)
-        self.builder.stage_settlement(
-            self.cloud_address,
-            contract,
-            "verify_and_settle",
-            (query_id, self.cloud.ads_value, response_to_chain_args(response)),
-            gas_limit=self.settle_gas_limit,
-            tx_id=tx_id,
-        )
-        self._fold_membership_checks([response])
-        receipt, height = self._run_settle_rounds([tx_id])[tx_id]
-        self._settle_heights[query_id] = height
-        return receipt
-
-    def _batch_search_block(
-        self, contract: SlicerContract, queries: list[Query], payment: int
-    ) -> list[SearchOutcome]:
-        """Block-mode batch: one sealed block settles every staged escrow.
-
-        Where the synchronous batch amortises gas into a single
-        ``batch_verify_and_settle`` transaction (whose verdicts are only in
-        the receipt), the block-mode batch stages one ``verify_and_settle``
-        per escrow and lets ONE block carry them all — the amortisation
-        moves from the transaction to the block, and every verdict lands in
-        the header's settlement root individually, so each is light-client
-        provable.  The cloud still folds the whole round's membership
-        checks through the trusted batch kernel in one pass.
-        """
-        assert self.user is not None
-        with trace.span("batch_search", queries=len(queries), mode="block"):
-            submitted = []
-            for query in queries:
-                tokens = self.user.make_tokens(query)
-                with trace.span("submit"):
-                    submit = self._chain_call(
-                        self.user_address,
-                        contract,
-                        "submit_query",
-                        (tokens_digest_input(tokens),),
-                        value=payment,
-                    )
-                if not submit.status:
-                    raise StateError(f"query submission reverted: {submit.revert_reason}")
-                submitted.append((query, submit, tokens))
-            with trace.span("cloud.search", batch=len(submitted)):
-                responses = self.cloud.search_many([t for _, _, t in submitted])
-            with trace.span("verify_settle", batch=len(submitted)):
-                landed = self._settle_block(
-                    contract,
-                    [
-                        (submit.return_value, response)
-                        for (_, submit, _), response in zip(submitted, responses)
-                    ],
-                )
-            outcomes = []
-            trace_id = trace.current_trace_id()
-            for (query, submit, tokens), response in zip(submitted, responses):
-                settle, height = landed[submit.return_value]
-                verified = bool(settle.status and settle.return_value)
-                metrics.observe("gas.verify_and_settle", settle.gas_used)
-                outcome = SearchOutcome(
-                    query=query,
-                    query_id=submit.return_value,
-                    tokens=tokens,
-                    response=response,
-                    verified=verified,
-                    record_ids=self.user.decrypt_results(response) if verified else set(),
-                    submit_receipt=submit,
-                    settle_receipt=settle,
-                    settle_height=height,
-                )
-                outcomes.append(outcome)
-                verdict, detail = _audit_verdict(outcome)
-                obs_audit.AUDIT_LOG.append(
-                    query_id=str(outcome.query_id),
-                    verdict=verdict,
-                    tokens_posted=len(tokens),
-                    result_count=len(outcome.record_ids),
-                    accumulator=self.cloud.ads_value,
-                    paid_to=_PAID_TO[verdict],
-                    amount=payment if verdict != VERDICT_DEGRADED else 0,
-                    gas=submit.gas_used + settle.gas_used,
-                    attempts=1,
-                    trace_id=trace_id,
-                    detail=detail,
-                    batch_size=len(submitted),
-                    block=height,
-                    **(
-                        {"shards": self.cloud.shards_for_tokens(tokens)}
-                        if self._sharded
-                        else {}
-                    ),
-                )
-        return outcomes
-
     def settlement_proof(self, outcome: SearchOutcome) -> SettlementProof:
         """Build the light-client proof that ``outcome``'s verdict settled.
 
@@ -1114,19 +1016,29 @@ class SlicerSystem:
         block = self.chain.blocks[outcome.settle_height]
         return prove_settlement(block, encode_uint(outcome.query_id))
 
-    # ------------------------------------------------------- chaos delivery
-
-    def _install(self, output: OwnerOutput) -> None:
-        """Direct-mode install: flat package, or pre-split per shard."""
-        if self._sharded and output.shard_packages is not None:
-            self.cloud.install_shards(output.shard_packages)
-        else:
-            self.cloud.install(output.cloud_package)
+    # ------------------------------------------------------ crash recovery
 
     def _next_op(self) -> int:
         """Monotonic operation counter — the idempotency-key namespace."""
-        self._chaos_op += 1
-        return self._chaos_op
+        self._ops += 1
+        return self._ops
+
+    @property
+    def _has_store(self) -> bool:
+        return (
+            getattr(self.cloud, "_store", None) is not None
+            or getattr(self.cloud, "_store_root", None) is not None
+        )
+
+    def _keep_restart_point(self) -> None:
+        """Refresh the full ``(I, X, Ac)`` snapshot a restarted cloud reloads.
+
+        Only a transport injects crashes, and a cloud with a segment store
+        reopens from the store, so the snapshot is taken only with a
+        transport and without a store.
+        """
+        if self.transport is not None and not self._has_store:
+            self._cloud_snapshot = self.cloud.snapshot()
 
     def _restart_cloud(self) -> None:
         """Crash-fault hook: restart the cloud from its durable state.
@@ -1139,10 +1051,7 @@ class SlicerSystem:
         restarted one rebuilds them: that is the witness-cache rebuild path
         the chaos tests exercise.
         """
-        has_store = (
-            getattr(self.cloud, "_store", None) is not None
-            or getattr(self.cloud, "_store_root", None) is not None
-        )
+        has_store = self._has_store
         if self._cloud_snapshot is None and not has_store:
             return
         perfstats.incr("chaos.cloud_restarts")
@@ -1153,95 +1062,6 @@ class SlicerSystem:
             self.cloud.restore(self._cloud_snapshot)
         if had_cache and self.cloud._witness_cache is None:
             self.cloud.precompute_witnesses()
-
-    def _chaos_install(self, package: CloudPackage) -> None:
-        """Owner -> cloud install over the transport (retried, idempotent)."""
-        transport = self.transport
-        assert transport is not None
-        pkg_wire = state_io.dump_cloud_state(
-            package.index, list(package.primes), package.accumulation
-        )
-        op = self._next_op()
-
-        def handler(blob: bytes) -> bytes:
-            index, primes, ads_value = state_io.load_cloud_state(blob)
-            self.cloud.install(CloudPackage(index, primes, ads_value))
-            # Snapshot atomically with the install: a crash after this
-            # handler ran (but before the reply arrived) must restart the
-            # cloud into the *installed* state, or the idempotency cache
-            # and the cloud's reality would disagree.
-            self._cloud_snapshot = self.cloud.snapshot()
-            return b"installed"
-
-        def install_op(attempt: int) -> None:
-            transport.deliver(
-                OWNER_TO_CLOUD,
-                pkg_wire,
-                handler,
-                idempotency_key=("install", op),
-                on_crash=self._restart_cloud,
-            )
-
-        self.retry.run(install_op, transport=transport, label="install")
-
-    def _chaos_install_shards(self, shard_packages) -> None:
-        """Owner -> tier install: one independent transport leg per shard.
-
-        Each shard's package crosses its own channel
-        (``owner->cloud#shardK``) with its own idempotency key and retry
-        budget; a crash fault restarts only that shard from its per-shard
-        durable snapshot.  The tier-level snapshot is refreshed once every
-        leg has landed.
-        """
-        transport = self.transport
-        assert transport is not None
-        op = self._next_op()
-        for pkg in shard_packages:
-            pkg_wire = dump_shard_package(pkg)
-            sid = pkg.shard_id
-
-            def handler(blob: bytes) -> bytes:
-                # install_shard also refreshes that shard's durable snapshot.
-                self.cloud.install_shard(load_shard_package(blob))
-                return b"installed"
-
-            def install_op(
-                attempt: int, _wire=pkg_wire, _handler=handler, _sid=sid
-            ) -> None:
-                transport.deliver(
-                    shard_channel(OWNER_TO_CLOUD, _sid),
-                    _wire,
-                    _handler,
-                    idempotency_key=("install", op, _sid),
-                    on_crash=lambda: self.cloud._restart_shard(_sid),
-                )
-
-            self.retry.run(
-                install_op, transport=transport, label=f"install.shard{sid}"
-            )
-        self._cloud_snapshot = self.cloud.snapshot()
-
-    def _chaos_update_ads(self, contract: SlicerContract, chain_ads) -> Receipt:
-        """Owner -> contract ADS refresh over the transport."""
-        transport = self.transport
-        assert transport is not None
-        op = self._next_op()
-
-        def update_op(attempt: int) -> Receipt:
-            return transport.deliver(
-                OWNER_TO_CONTRACT,
-                codec.encode_int(chain_ads),
-                lambda blob: self._chain_call(
-                    self.owner_address,
-                    contract,
-                    "update_ads",
-                    (codec.decode_int(blob),),
-                ),
-                idempotency_key=("ads", op),
-                cache_if=lambda r: r.status,
-            )
-
-        return self.retry.run(update_op, transport=transport, label="update_ads")
 
     # -------------------------------------------------------------- helpers
 

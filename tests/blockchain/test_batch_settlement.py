@@ -2,12 +2,14 @@
 
 import pytest
 
+from repro.common.errors import StateError
 from repro.common.rng import default_rng
 from repro.core.cloud import CloudServer, MaliciousCloud, Misbehavior, SearchResponse
 from repro.core.query import Query
 from repro.core.records import make_database
 from repro.obs import audit as obs_audit
 from repro.obs.audit import VERDICT_DEGRADED, VERDICT_PAID
+from repro.planner import Range
 from repro.system import DEFAULT_FUNDING, SlicerSystem
 
 QUERIES = [Query.parse(7, "="), Query.parse(100, ">"), Query.parse(100, "<")]
@@ -176,3 +178,38 @@ class TestBatchRevert:
         assert record.verdict == VERDICT_DEGRADED
         assert record.amount == 0
         assert record.paid_to is None
+
+
+class TestUnderfundedBatch:
+    """A batch the user cannot pay for in full posts no escrow at all.
+
+    Escrows are posted one by one, so a batch that ran dry part-way would
+    leave the escrows already posted locked in the contract for good.
+    """
+
+    PAYMENT = 4 * 10**8  # three escrows exceed DEFAULT_FUNDING
+
+    def deploy(self, tparams, mode):
+        s = SlicerSystem(tparams, rng=default_rng(154), settlement_mode=mode)
+        s.setup(make_database([(f"r{i}", (i * 21) % 256) for i in range(18)], bits=8))
+        obs_audit.AUDIT_LOG.reset()
+        return s
+
+    def assert_nothing_escrowed(self, s):
+        assert s.chain.balance(s.contract.address) == 0
+        assert s.balances()["user"] == DEFAULT_FUNDING
+        assert obs_audit.AUDIT_LOG.records() == []
+
+    @pytest.mark.parametrize("mode", ["sync", "block"])
+    def test_batch_search_is_refused_up_front(self, tparams, mode):
+        s = self.deploy(tparams, mode)
+        with pytest.raises(StateError, match="needs"):
+            s.batch_search(QUERIES, payment=self.PAYMENT)
+        self.assert_nothing_escrowed(s)
+
+    def test_search_plans_is_refused_up_front(self, tparams):
+        s = self.deploy(tparams, "sync")
+        plans = [Range(7, 7), Range(101, 255), Range(0, 99)]
+        with pytest.raises(StateError, match="needs"):
+            s.search_plans(plans, payment=self.PAYMENT)
+        self.assert_nothing_escrowed(s)

@@ -2,12 +2,21 @@
 
 import pytest
 
-from repro.chaos import ChaosTransport, FaultKind, FaultPlan, profile_named
+from repro.chaos import (
+    ChaosTransport,
+    FaultKind,
+    FaultPlan,
+    RetryPolicy,
+    profile_named,
+    run_leg,
+    send,
+)
 from repro.chaos.faults import FaultProfile, WEIGHT_SCALE
 from repro.chaos.transport import frame, unframe
 from repro.common import perfstats
 from repro.common.errors import (
-    ParameterError,
+    RetryExhausted,
+    TransientChainError,
     TransportCorruption,
     TransportTimeout,
 )
@@ -170,18 +179,6 @@ class TestBuilders:
         assert t.plan.profile.name == "lossy"
         assert t.plan.seed == 99
 
-    def test_from_env_reads_profile_and_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_PROFILE", "crash_restart")
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "0x2a")
-        t = ChaosTransport.from_env()
-        assert t.plan.profile.name == "crash_restart"
-        assert t.plan.seed == 42
-
-    def test_from_env_rejects_garbage_seed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CHAOS_SEED", "not-a-number")
-        with pytest.raises(ParameterError, match="REPRO_CHAOS_SEED"):
-            ChaosTransport.from_env()
-
     def test_same_seed_same_fault_sequence_through_transport(self):
         def run(seed):
             t = ChaosTransport(FaultPlan(profile_named("lossy"), seed))
@@ -198,3 +195,51 @@ class TestBuilders:
 
         assert run(5) == run(5)
         assert run(5) != run(6)
+
+
+BYTES_CODEC = (lambda message: bytes(message), bytearray)
+
+
+class TestDeliveryHelpers:
+    """``send``/``run_leg``: one call site, in process or over a transport."""
+
+    def test_in_process_send_hands_over_the_same_object(self):
+        perfstats.reset()
+        message = bytearray(b"payload")
+        seen = []
+        reply = send(None, "a->b", message, lambda m: seen.append(m) or "ok", BYTES_CODEC)
+        assert reply == "ok" and seen[0] is message
+        assert perfstats.snapshot() == {}
+
+    def test_transport_send_hands_over_a_decoded_copy(self):
+        message = bytearray(b"payload")
+        seen = []
+        send(clean_transport(), "a->b", message, seen.append, BYTES_CODEC)
+        assert seen[0] == message and seen[0] is not message
+
+    def test_retry_reason_retries_only_over_a_transport(self):
+        assert send(None, "a->b", b"x", lambda m: "reverted", BYTES_CODEC,
+                    retry_reason=lambda r: r) == "reverted"
+        with pytest.raises(TransientChainError, match="reverted"):
+            send(clean_transport(), "a->b", b"x", lambda m: "reverted", BYTES_CODEC,
+                 retry_reason=lambda r: r)
+
+    def test_run_leg_counts_attempts_only_over_a_transport(self):
+        calls = []
+        assert run_leg(None, RetryPolicy(), calls.append, label="leg") == (None, 0)
+        assert calls == [1]
+
+        def flaky(attempt):
+            if attempt < 3:
+                raise TransportTimeout("lost")
+            return "done"
+
+        assert run_leg(clean_transport(), RetryPolicy(), flaky, label="leg") == ("done", 3)
+
+    def test_run_leg_gives_up_over_a_transport(self):
+        def lost(attempt):
+            raise TransportTimeout("lost")
+
+        with pytest.raises(RetryExhausted) as info:
+            run_leg(clean_transport(), RetryPolicy(max_attempts=2), lost, label="leg")
+        assert info.value.attempts == 2
