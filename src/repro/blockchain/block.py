@@ -49,13 +49,28 @@ class BlockHeader:
 
 @dataclass
 class Block:
+    """A sealed header plus its body.
+
+    ``tx_hashes`` (the leaves of ``tx_root``) outlive the transaction
+    bodies: once a block falls out of reorg reach the chain drops its
+    ``transactions`` (:meth:`drop_bodies`), while the header, ``tx_hashes``
+    and receipts stay, so inclusion proofs and integrity checks still work.
+    """
+
     header: BlockHeader
     transactions: list[Transaction] = field(default_factory=list)
     receipts: list[Receipt] = field(default_factory=list)
+    tx_hashes: list[bytes] = field(default_factory=list)
+    pruned: bool = False
 
     @property
     def number(self) -> int:
         return self.header.number
+
+    def drop_bodies(self) -> None:
+        """Release the transaction bodies; keep header, hashes and receipts."""
+        self.transactions = []
+        self.pruned = True
 
     def hash(self) -> bytes:
         return self.header.hash()
@@ -106,6 +121,26 @@ def settlement_leaves(receipts: list[Receipt]) -> list[bytes]:
     return leaves
 
 
+def seal_header(
+    number: int,
+    parent_hash: bytes,
+    tx_hashes: list[bytes],
+    receipts: list[Receipt],
+    sealer: bytes,
+    timestamp: int,
+) -> BlockHeader:
+    """The header committing to ``tx_hashes`` and ``receipts``."""
+    return BlockHeader(
+        number=number,
+        parent_hash=parent_hash,
+        tx_root=merkleize(tx_hashes),
+        receipt_root=merkleize([r.tx_hash + (b"\x01" if r.status else b"\x00") for r in receipts]),
+        sealer=sealer,
+        timestamp=timestamp,
+        settlement_root=merkleize(settlement_leaves(receipts)),
+    )
+
+
 def make_block(
     number: int,
     parent_hash: bytes,
@@ -114,13 +149,6 @@ def make_block(
     sealer: bytes,
     timestamp: int,
 ) -> Block:
-    header = BlockHeader(
-        number=number,
-        parent_hash=parent_hash,
-        tx_root=merkleize([tx.hash() for tx in transactions]),
-        receipt_root=merkleize([r.tx_hash + (b"\x01" if r.status else b"\x00") for r in receipts]),
-        sealer=sealer,
-        timestamp=timestamp,
-        settlement_root=merkleize(settlement_leaves(receipts)),
-    )
-    return Block(header, list(transactions), list(receipts))
+    tx_hashes = [tx.hash() for tx in transactions]
+    header = seal_header(number, parent_hash, tx_hashes, receipts, sealer, timestamp)
+    return Block(header, list(transactions), list(receipts), tx_hashes)

@@ -39,14 +39,10 @@ from ..common import perfstats
 from ..common.errors import BlockchainError
 from ..obs import trace
 from .block import Block
-from .chain import DEFAULT_GAS_LIMIT, Blockchain
+from .chain import DEFAULT_GAS_LIMIT, MAX_JOURNAL, Blockchain
 from .contract import Contract
 from .mempool import DEFAULT_GAS_PRICE, Mempool, PendingCall
 from .transaction import Receipt
-
-#: Journal depth: reorgs deeper than this are clamped (checkpoints beyond
-#: it are pruned).  Far above any profile's ``reorg_depth_max``.
-MAX_JOURNAL = 8
 
 
 @dataclass

@@ -21,7 +21,7 @@ from ..common.errors import (
     OutOfGasError,
 )
 from .accounts import Account, address_from_label, contract_address
-from .block import GENESIS_PARENT, Block, make_block
+from .block import GENESIS_PARENT, Block, make_block, seal_header
 from .contract import Contract, GasMeter
 from .gas import GasSchedule
 from .transaction import Receipt, Transaction, encode_calldata
@@ -29,6 +29,12 @@ from .transaction import Receipt, Transaction, encode_calldata
 C = TypeVar("C", bound=Contract)
 
 DEFAULT_GAS_LIMIT = 30_000_000
+
+#: Reorg reach: the deepest reorg the block builder can replay (its journal
+#: depth; deeper draws are clamped).  Blocks more than this far below the
+#: tip are final, and :meth:`Blockchain.mine` drops their transaction
+#: bodies — nothing reads old calldata, and replay uses the journal.
+MAX_JOURNAL = 8
 
 
 @dataclass
@@ -265,7 +271,12 @@ class Blockchain:
     # ------------------------------------------------------------- sealing
 
     def mine(self) -> Block:
-        """Seal pending transactions into a block (round-robin PoA)."""
+        """Seal pending transactions into a block (round-robin PoA).
+
+        The block that thereby falls out of reorg reach (:data:`MAX_JOURNAL`
+        below the tip) loses its transaction bodies, so the memory a
+        long-running chain holds is bounded by headers, hashes and receipts.
+        """
         number = len(self.blocks)
         parent = self.blocks[-1].hash() if self.blocks else GENESIS_PARENT
         sealer = self._sealer_addresses[number % len(self._sealer_addresses)]
@@ -274,21 +285,30 @@ class Blockchain:
             number, parent, self._pending_txs, self._pending_receipts, sealer, self._clock
         )
         self.blocks.append(block)
+        if len(self.blocks) > MAX_JOURNAL:
+            self.blocks[-MAX_JOURNAL - 1].drop_bodies()
         self._pending_txs = []
         self._pending_receipts = []
         return block
 
     def verify_integrity(self) -> bool:
-        """Recompute every header link — the chain's tamper evidence."""
+        """Recompute every header link — the chain's tamper evidence.
+
+        Headers are rebuilt from ``tx_hashes`` and receipts, so pruned
+        blocks are checked too; every body still kept must hash to its
+        ``tx_hashes`` entry.
+        """
         parent = GENESIS_PARENT
         for i, block in enumerate(self.blocks):
             header = block.header
             if header.number != i or header.parent_hash != parent:
                 return False
-            expected = make_block(
+            if not block.pruned and [tx.hash() for tx in block.transactions] != block.tx_hashes:
+                return False
+            expected = seal_header(
                 header.number,
                 header.parent_hash,
-                block.transactions,
+                block.tx_hashes,
                 block.receipts,
                 header.sealer,
                 header.timestamp,

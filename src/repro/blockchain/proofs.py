@@ -93,8 +93,12 @@ def _fold_path(leaf_item: bytes, path: MerklePath) -> bytes:
 
 
 def prove_inclusion(block: Block, tx_hash: bytes) -> InclusionProof:
-    """Build the Merkle path of ``tx_hash`` against the block's tx root."""
-    hashes = [tx.hash() for tx in block.transactions]
+    """Build the Merkle path of ``tx_hash`` against the block's tx root.
+
+    Reads ``block.tx_hashes``, so a block whose bodies were pruned still
+    proves inclusion.
+    """
+    hashes = block.tx_hashes
     try:
         index = hashes.index(tx_hash)
     except ValueError as exc:

@@ -231,12 +231,14 @@ class SlicerContract(Contract):
         q = params.multiset_field
 
         # h <- H(er): two hash invocations + one field multiplication per
-        # element (the MSet-Mu-Hash element map uses a double digest).
-        running = MultisetHash.empty(q)
+        # element (the MSet-Mu-Hash element map uses a double digest).  Gas
+        # is charged per entry before the fold, so an out-of-gas revert
+        # names the entry whose charge crossed the limit; the fold itself
+        # then runs in one pass.
         for entry in result.entries:
             self.meter.charge(2 * self.meter.schedule.keccak_gas(len(entry)), "keccak")
             self.meter.charge(self.meter.schedule.mulmod, "mulmod")
-            running = running.add(entry)
+        running = MultisetHash.of(result.entries, q)
 
         # x <- H_prime(t_j || j || G1 || G2 || h): one digest per candidate in
         # the deterministic counter walk, plus fixed Miller-Rabin rounds on

@@ -78,7 +78,7 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """Bytewise XOR of two equal-length strings (index payload masking)."""
     if len(a) != len(b):
         raise ParameterError(f"xor_bytes length mismatch: {len(a)} vs {len(b)}")
-    return bytes(x ^ y for x, y in zip(a, b))
+    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
 def int_to_bytes(value: int, length: int | None = None) -> bytes:

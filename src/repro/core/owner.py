@@ -19,6 +19,7 @@ methods share :meth:`DataOwner._index_batch`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from ..common.bitstring import xor_bytes
@@ -205,25 +206,37 @@ class DataOwner:
             jobs.append(KeywordJob(trapdoor, epoch, g1, g2, running.value, postings))
         return jobs
 
-    def _index_keyword(self, job: KeywordJob) -> tuple[list[tuple[bytes, bytes]], int]:
+    def _index_keyword(
+        self, job: KeywordJob, record_cts: list[bytes]
+    ) -> tuple[list[tuple[bytes, bytes]], int]:
         """Algorithm 1/2 lines 10-16 for one staged keyword.
 
-        Encrypts each posting's record ID (with its pre-drawn nonce),
-        derives the PRF label and pad, and folds the ciphertext into the
+        ``record_cts`` are the job's postings encrypted under their
+        pre-drawn nonces, in counter order.  Derives each PRF label and
+        pad, masks the ciphertext, and folds the ciphertexts into the
         running multiset hash.  Returns ``(entries, folded_hash_value)``,
         entries in counter order.
         """
         label_prf = PRF(job.g1, self.params.label_len)
         pad_prf = PRF(job.g2)
-        running = MultisetHash(job.running_value, self.params.multiset_field)
+        field = self.params.multiset_field
         entries: list[tuple[bytes, bytes]] = []
-        for counter, (record_id, nonce) in enumerate(job.postings):
-            record_ct = self._cipher.encrypt(record_id, nonce)
+        for counter, record_ct in enumerate(record_cts):
             label = label_prf.eval(job.trapdoor, encode_uint(counter))
             pad = pad_prf.eval_stream(len(record_ct), job.trapdoor, encode_uint(counter))
             entries.append((label, xor_bytes(pad, record_ct)))
-            running = running.add(record_ct)
+        running = MultisetHash(job.running_value, field) + MultisetHash.of(record_cts, field)
         return entries, running.value
+
+    def _encrypt_postings(self, jobs: list[KeywordJob]) -> list[list[bytes]]:
+        """Every posting's ``Enc(K_R, R)`` in one batch, regrouped per job."""
+        postings = [posting for job in jobs for posting in job.postings]
+        flat = iter(
+            self._cipher.encrypt_many(
+                [record_id for record_id, _ in postings], [nonce for _, nonce in postings]
+            )
+        )
+        return [list(islice(flat, len(job.postings))) for job in jobs]
 
     def _index_batch(self, records: list[Record | AttributedRecord]) -> OwnerOutput:
         """The shared core of Build and Insert: one epoch per touched keyword.
@@ -239,7 +252,10 @@ class DataOwner:
             jobs = self._stage_keywords(records)
             metrics.observe("owner.batch.records", len(records))
             metrics.observe("owner.batch.keywords", len(jobs))
-            folded = [self._index_keyword(job) for job in jobs]
+            folded = [
+                self._index_keyword(job, record_cts)
+                for job, record_cts in zip(jobs, self._encrypt_postings(jobs))
+            ]
             for entries, _ in folded:
                 for label, payload in entries:
                     new_index.put(label, payload)

@@ -67,14 +67,11 @@ class DataUser:
     # -------------------------------------------------------------- results
 
     def decrypt_results(self, response: SearchResponse) -> set[bytes]:
-        """Decrypt every returned ciphertext into a record-ID set."""
-        out: set[bytes] = set()
-        for blob in response.all_entries():
-            plaintext = self._cipher.decrypt(blob)
-            if len(plaintext) != self.params.record_id_len:
-                raise StateError("decrypted record has unexpected length")
-            out.add(plaintext)
-        return out
+        """Decrypt every returned ciphertext into a record-ID set (one batch)."""
+        plaintexts = self._cipher.decrypt_many(response.all_entries())
+        if any(len(p) != self.params.record_id_len for p in plaintexts):
+            raise StateError("decrypted record has unexpected length")
+        return set(plaintexts)
 
     def verify_locally(self, response: SearchResponse) -> VerificationReport:
         """The legacy local-verification mode (no fairness guarantee)."""

@@ -1,14 +1,21 @@
 """Block builder: packing, journaled replay, reorgs, settlement proofs."""
 
+import dataclasses
+
 import pytest
 
 from repro.blockchain.block import settlement_leaves
 from repro.blockchain.block_builder import BlockBuilder
-from repro.blockchain.chain import Blockchain
+from repro.blockchain.chain import MAX_JOURNAL, Blockchain
 from repro.blockchain.contract import Contract
 from repro.blockchain.light_client import follow
 from repro.blockchain.mempool import Mempool
-from repro.blockchain.proofs import prove_settlement, verify_settlement
+from repro.blockchain.proofs import (
+    prove_inclusion,
+    prove_settlement,
+    verify_inclusion,
+    verify_settlement,
+)
 from repro.chaos import ChainFaultPlan, ChainFaultProfile
 from repro.common.encoding import encode_uint
 from repro.common.errors import BlockchainError
@@ -240,3 +247,117 @@ class TestReorg:
         # The pre-reorg proof is re-provable against the replacement block.
         replay = prove_settlement(chain.blocks[block.number], encode_uint(3))
         assert client.check_settlement(replay)
+
+
+def seal_settlements(builder, contract, alice, count: int, first: int = 0) -> None:
+    """Seal ``count`` blocks, each carrying one settlement's calldata."""
+    for i in range(first, first + count):
+        builder.stage_settlement(
+            alice, contract, "settle", (i, True), gas_limit=100_000, tx_id=f"s{i}"
+        )
+        builder.seal_block()
+
+
+class ReorgOnce:
+    """Fault-plan stub: one reorg of exactly ``depth`` at the next seal."""
+
+    def __init__(self, depth: int) -> None:
+        self.depth = depth
+
+    def draw_reorg(self) -> int:
+        depth, self.depth = self.depth, 0
+        return depth
+
+    def draw_delay(self) -> int:
+        return 0
+
+
+class TestPrunedChain:
+    """Blocks beyond reorg reach keep header, ``tx_hashes`` and receipts only."""
+
+    @pytest.fixture()
+    def pruned(self, setup):
+        chain, builder, contract, alice = setup
+        seal_settlements(builder, contract, alice, MAX_JOURNAL + 3)
+        assert chain.height > MAX_JOURNAL + 2
+        return setup
+
+    def test_only_blocks_in_reach_keep_bodies(self, pruned):
+        chain = pruned[0]
+        for block in chain.blocks:
+            in_reach = block.number >= chain.height - MAX_JOURNAL
+            assert block.pruned is not in_reach
+            assert len(block.tx_hashes) == 1 and len(block.receipts) == 1
+            assert len(block.transactions) == (1 if in_reach else 0)
+        assert chain.verify_integrity()
+
+    def test_tampering_a_pruned_block_is_caught(self, pruned):
+        chain = pruned[0]
+        block = chain.blocks[1]
+        assert block.pruned
+        header, receipt = block.header, block.receipts[0]
+
+        block.header = dataclasses.replace(header, timestamp=header.timestamp + 1)
+        assert not chain.verify_integrity()
+        block.header = header
+
+        block.receipts[0] = dataclasses.replace(receipt, status=not receipt.status)
+        assert not chain.verify_integrity()
+        block.receipts[0] = receipt
+
+        block.tx_hashes[0] = bytes(32)
+        assert not chain.verify_integrity()
+        block.tx_hashes[0] = receipt.tx_hash
+        assert chain.verify_integrity()
+
+    def test_tampering_a_kept_body_is_caught(self, pruned):
+        chain = pruned[0]
+        block = chain.blocks[-1]
+        tx = block.transactions[0]
+        block.transactions[0] = dataclasses.replace(tx, value=tx.value + 1)
+        assert not chain.verify_integrity()
+        block.transactions[0] = tx
+        assert chain.verify_integrity()
+
+    def test_proofs_on_a_pruned_block_verify(self, pruned):
+        chain = pruned[0]
+        block = chain.blocks[2]
+        assert block.pruned
+        client = follow(chain)
+        inclusion = prove_inclusion(block, block.tx_hashes[0])
+        assert verify_inclusion(block.header.tx_root, inclusion)
+        assert client.check_inclusion(inclusion)
+        query_id = block.receipts[0].logs[0].get("query_id")
+        settlement = prove_settlement(block, query_id)
+        assert verify_settlement(block.header.settlement_root, settlement)
+        assert client.check_settlement(settlement)
+
+    def test_full_depth_reorg_after_pruning_replays_bit_for_bit(self):
+        """A depth-``MAX_JOURNAL`` reorg, once pruning has started, lands
+        the same transactions, receipts and state as a chain with none."""
+
+        def run(reorg: bool):
+            chain = Blockchain()
+            alice = chain.create_account("alice", 10**9)
+            contract, _ = chain.deploy(alice, Settler)
+            chain.mine()
+            builder = BlockBuilder(chain, Mempool(chain))
+            seal_settlements(builder, contract, alice, MAX_JOURNAL + 2)
+            assert any(block.pruned for block in chain.blocks)
+            if reorg:
+                builder.fault_plan = ReorgOnce(MAX_JOURNAL)
+            seal_settlements(builder, contract, alice, 1, first=MAX_JOURNAL + 2)
+            assert builder.orphaned == (MAX_JOURNAL if reorg else 0)
+            assert chain.verify_integrity()
+            return chain
+
+        plain, reorged = run(reorg=False), run(reorg=True)
+        assert reorged.height == plain.height
+        for a, b in zip(plain.blocks, reorged.blocks):
+            assert (a.pruned, a.tx_hashes) == (b.pruned, b.tx_hashes)
+            assert a.transactions == b.transactions
+            assert [dataclasses.asdict(r) for r in a.receipts] == [
+                dataclasses.asdict(r) for r in b.receipts
+            ]
+        plain_state, reorged_state = plain.state_checkpoint(), reorged.state_checkpoint()
+        assert plain_state == reorged_state

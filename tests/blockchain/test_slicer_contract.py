@@ -191,3 +191,61 @@ class TestGasShape:
         breakdown = outcome.settle_receipt.gas_breakdown
         assert breakdown["modexp"] > breakdown.get("sstore", 0)
         assert breakdown["modexp"] > breakdown.get("keccak", 0)
+
+
+class TestSettleReceiptPinned:
+    """Exact settle receipts, so a faster multiset fold cannot move gas."""
+
+    def _settle_args(self, system):
+        tokens = system.user.make_tokens(Query.parse(50, ">"))
+        submit = system.chain.call(
+            system.user_address,
+            system.contract,
+            "submit_query",
+            (tokens_digest_input(tokens),),
+            value=100,
+        )
+        response = system.cloud.search(tokens)
+        assert [len(r.entries) for r in response.results] == [1, 5, 2]
+        return (submit.return_value, system.cloud.ads_value, response_to_chain_args(response))
+
+    def test_honest_settle_gas_breakdown(self, system):
+        receipt = system.chain.call(
+            system.cloud_address, system.contract, "verify_and_settle", self._settle_args(system)
+        )
+        assert receipt.status
+        assert receipt.gas_used == 81870
+        assert receipt.gas_breakdown == {
+            "intrinsic": 37184,
+            "sload": 12700,
+            "keccak": 5868,
+            "mulmod": 64,
+            "primality": 7200,
+            "modexp": 4032,
+            "sstore": 5000,
+            "transfer": 9000,
+            "log": 822,
+        }
+
+    def test_out_of_gas_inside_the_fold(self, system):
+        """The limit runs out at the third entry of the second token's fold."""
+        args = self._settle_args(system)
+        receipt = system.chain.call(
+            system.cloud_address, system.contract, "verify_and_settle", args, gas_limit=49892
+        )
+        assert not receipt.status
+        assert receipt.revert_reason == "gas limit 49892 exceeded at 49900 (mulmod)"
+        assert receipt.gas_used == 49892
+        assert receipt.gas_breakdown == {
+            "intrinsic": 37184,
+            "sload": 8400,
+            "keccak": 540,
+            "mulmod": 32,
+            "primality": 2400,
+            "modexp": 1344,
+        }
+        # The revert rolled the escrow back to open: a full-gas retry pays.
+        retry = system.chain.call(
+            system.cloud_address, system.contract, "verify_and_settle", args
+        )
+        assert retry.status and retry.return_value is True
